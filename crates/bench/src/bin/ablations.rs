@@ -256,7 +256,6 @@ fn approx_ablation(cfg: &HarnessConfig) {
 
 fn corroboration_ablation(cfg: &HarnessConfig) {
     use dde_core::annotate::BiasedSourcesAnnotator;
-    use dde_core::engine::run_scenario_with_annotator;
     use dde_netsim::topology::NodeId;
     use std::sync::Arc;
 
@@ -279,11 +278,8 @@ fn corroboration_ablation(cfg: &HarnessConfig) {
                 let mut options = RunOptions::new(Strategy::Lvf);
                 options.corroboration = k;
                 options.seed = seed ^ 0xc0;
-                run_scenario_with_annotator(
-                    &scenario,
-                    options,
-                    Arc::new(BiasedSourcesAnnotator::new(bad)),
-                )
+                options.annotator = Arc::new(BiasedSourcesAnnotator::new(bad));
+                run_scenario(&scenario, options)
             })
             .collect();
         let acc: Vec<f64> = reports.iter().map(|r| r.accuracy()).collect();

@@ -51,9 +51,10 @@ fn main() {
         .with_seed(cfg.seed)
         .with_fast_ratio(0.4);
     let scenario = Scenario::build(config);
-    let options = || {
+    let options = |threads| {
         let mut o = RunOptions::new(Strategy::LvfLabelShare);
         o.seed = cfg.seed ^ 0x5eed;
+        o.threads = threads;
         o
     };
     eprintln!(
@@ -72,7 +73,7 @@ fn main() {
         let mut report = None;
         for _ in 0..cfg.reps.max(1) {
             let start = Instant::now();
-            let r = run_scenario_sharded(&scenario, options(), t);
+            let r = run_scenario(&scenario, options(t));
             let wall = start.elapsed().as_secs_f64();
             samples.push(r.events as f64 / wall.max(1e-9));
             report = Some(r);

@@ -21,7 +21,7 @@
 
 use dde_bench::write_bench_json;
 use dde_bench::{run_point, HarnessConfig};
-use dde_core::prelude::{run_scenario_sharded, RunOptions};
+use dde_core::prelude::{run_scenario, RunOptions};
 use dde_core::strategy::Strategy;
 use dde_naming::fib::Fib;
 use dde_naming::name::Name;
@@ -256,8 +256,9 @@ fn main() {
             for _ in 0..cfg.reps.clamp(1, 3) {
                 let mut options = RunOptions::new(Strategy::LvfLabelShare);
                 options.seed = cfg.seed ^ 0x5eed;
+                options.threads = t;
                 let start = Instant::now();
-                let report = run_scenario_sharded(&scenario, options, t);
+                let report = run_scenario(&scenario, options);
                 best = best.min(start.elapsed().as_secs_f64());
                 events = report.events;
             }

@@ -48,8 +48,8 @@ pub use annotate::{
 };
 pub use engine::{
     build_nodes, build_shared_world, collect_report_parts, run_all_strategies, run_scenario,
-    run_scenario_observed, run_scenario_sharded, run_scenario_sharded_observed,
-    run_scenario_with_annotator, QueryRecord, RunOptions, RunReport,
+    run_scenario_observed, run_scenario_sharded, run_scenario_sharded_observed, QueryRecord,
+    RunOptions, RunReport,
 };
 pub use msg::{AthenaMsg, QueryId, RequestKind};
 pub use node::{AthenaEvent, AthenaNode, CachedLabel, NodeConfig, NodeStats, SharedWorld};
@@ -61,8 +61,7 @@ pub use strategy::Strategy;
 pub mod prelude {
     pub use crate::annotate::{Annotator, GroundTruthAnnotator, TrustPolicy};
     pub use crate::engine::{
-        run_all_strategies, run_scenario, run_scenario_observed, run_scenario_sharded,
-        run_scenario_sharded_observed, run_scenario_with_annotator, RunOptions, RunReport,
+        run_all_strategies, run_scenario, run_scenario_observed, RunOptions, RunReport,
     };
     pub use crate::msg::{AthenaMsg, QueryId};
     pub use crate::node::{AthenaNode, NodeConfig, SharedWorld};

@@ -4,12 +4,11 @@
 //! The DES backend does not re-implement message passing: inside the
 //! simulator the transport seam already exists as
 //! [`dde_netsim::Context`] (sends, timers, clock) and the engine's event
-//! heap. `DesTransport` therefore adapts the *scenario-level* entry
-//! points — it delegates to `dde_core::engine::run_scenario*`
-//! unchanged, which is precisely what pins every committed artifact:
-//! traces, `RunReport`s, and the determinism suites are byte-identical
-//! before and after the extraction, because the extraction is observable
-//! only through this new API.
+//! queues. `DesTransport` therefore adapts the *scenario-level* entry
+//! points — it delegates to `dde_core::engine::run_scenario*` unchanged,
+//! so a run through this API is observationally identical to a direct
+//! engine call: same `RunReport`, same trace. The engine's worker count
+//! comes from [`RunOptions::threads`] like every other run knob.
 //!
 //! Use the DES backend for anything that must be reproducible — CI
 //! regression baselines, ablation sweeps, trace diffs. Use the TCP
@@ -22,32 +21,16 @@ use dde_obs::Sink;
 use dde_workload::scenario::Scenario;
 
 /// The deterministic cluster backend: one [`Scenario`] in, one
-/// [`RunReport`] out, via the verified event-heap (or sharded) engine.
+/// [`RunReport`] out, via the DES engine.
 #[derive(Debug, Clone)]
 pub struct DesTransport {
     options: RunOptions,
-    /// Worker regions for the sharded engine; `None` selects the classic
-    /// sequential event heap.
-    threads: Option<usize>,
 }
 
 impl DesTransport {
-    /// A DES backend running the classic sequential engine.
+    /// A DES backend running every scenario under `options`.
     pub fn new(options: RunOptions) -> DesTransport {
-        DesTransport {
-            options,
-            threads: None,
-        }
-    }
-
-    /// A DES backend running the conservative-parallel sharded engine
-    /// with up to `threads` worker regions. Reports (and observed
-    /// traces) are identical at any thread count.
-    pub fn sharded(options: RunOptions, threads: usize) -> DesTransport {
-        DesTransport {
-            options,
-            threads: Some(threads),
-        }
+        DesTransport { options }
     }
 
     /// The options every run of this backend uses.
@@ -58,21 +41,13 @@ impl DesTransport {
     /// Runs `scenario` to quiescence, unobserved (no trace overhead, no
     /// ledger).
     pub fn run(&self, scenario: &Scenario) -> RunReport {
-        match self.threads {
-            None => dde_core::run_scenario(scenario, self.options.clone()),
-            Some(t) => dde_core::run_scenario_sharded(scenario, self.options.clone(), t),
-        }
+        dde_core::run_scenario(scenario, self.options.clone())
     }
 
     /// Runs `scenario` with the full event lifecycle streamed into
     /// `sink` and a live cost ledger folded into the report.
     pub fn run_observed(&self, scenario: &Scenario, sink: Box<dyn Sink>) -> RunReport {
-        match self.threads {
-            None => dde_core::run_scenario_observed(scenario, self.options.clone(), sink),
-            Some(t) => {
-                dde_core::run_scenario_sharded_observed(scenario, self.options.clone(), t, sink)
-            }
-        }
+        dde_core::run_scenario_observed(scenario, self.options.clone(), sink)
     }
 }
 
@@ -99,7 +74,11 @@ mod tests {
         let scenario = Scenario::build(ScenarioConfig::small().with_seed(12));
         let options = RunOptions::new(Strategy::LvfLabelShare);
         let direct = dde_core::run_scenario_sharded(&scenario, options.clone(), 4);
-        let via_transport = DesTransport::sharded(options, 4).run(&scenario);
+        let via_transport = DesTransport::new(RunOptions {
+            threads: 4,
+            ..options
+        })
+        .run(&scenario);
         assert_eq!(direct, via_transport);
     }
 }

@@ -8,19 +8,21 @@
 //! - [`topology`] — nodes, duplex links with bandwidth / propagation latency
 //!   / loss, topology builders (line, ring, star, grid, random-connected),
 //!   and all-pairs shortest-path next-hop routing;
-//! - [`sim`] — the event-heap engine: [`Protocol`] handlers per node,
-//!   FIFO links that serialize transmissions, timers, external stimuli,
-//!   node up/down fault injection; identical seeds give identical runs;
+//! - [`sim`] — the handler seam: the [`Protocol`] trait a node implements
+//!   and the [`Context`] through which it sends to neighbors, sets timers
+//!   and emits trace events;
 //! - [`metrics`] — per-link and per-message-kind traffic accounting, the
 //!   instrument behind the paper's Fig. 3 bandwidth comparison;
 //! - [`fault`] — seeded, replayable fault timelines (node churn, link
 //!   outages, partitions) the simulator applies at exact instants;
 //! - [`partition`] — deterministic balanced region partitioning with
 //!   conservative lookahead derived from boundary-link latency;
-//! - [`shard`] — the conservative parallel engine: regions pinned to
-//!   worker threads, barrier windows sized by the lookahead, stable
-//!   partition-independent event keys, so one seed yields a byte-identical
-//!   trace at any thread count.
+//! - [`shard`] — the engine, [`ShardedSimulator`]: FIFO links that
+//!   serialize transmissions, timers, external stimuli and fault
+//!   application, run as regions on up to `threads` workers in barrier
+//!   windows sized by the lookahead. Stable partition-independent event
+//!   keys mean one seed yields a byte-identical trace at any thread count,
+//!   one included.
 
 #![deny(missing_docs)]
 // Determinism guardrails (see clippy.toml and dde-lint): hashed collections
@@ -38,9 +40,7 @@ pub use fault::{FaultEvent, FaultSchedule, TimedFault};
 pub use metrics::{KindCounters, Metrics};
 pub use partition::Partition;
 pub use shard::{EventKey, ShardedSimulator};
-pub use sim::{
-    Command, Context, MediumMode, Protocol, SendError, Simulator, TraceEvent, WireMessage,
-};
+pub use sim::{Command, Context, MediumMode, Protocol, SendError, WireMessage};
 pub use topology::{LinkSpec, NodeId, Topology};
 
 /// Convenient glob-import of the crate's primary types.
@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::metrics::Metrics;
     pub use crate::partition::Partition;
     pub use crate::shard::ShardedSimulator;
-    pub use crate::sim::{Context, Protocol, Simulator, WireMessage};
+    pub use crate::sim::{Context, Protocol, WireMessage};
     pub use crate::topology::{LinkSpec, NodeId, Topology};
     pub use dde_logic::time::{SimDuration, SimTime};
 }

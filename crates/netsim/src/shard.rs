@@ -1,4 +1,5 @@
-//! Conservative parallel discrete-event simulation over topology regions.
+//! The discrete-event simulation engine: conservative parallel execution
+//! over topology regions.
 //!
 //! [`ShardedSimulator`] partitions the topology into regions
 //! ([`crate::partition`]), pins each region to a worker thread, and
@@ -33,11 +34,7 @@
 //!   partition-independent.
 //! - **Faults.** The coordinator owns the master topology and applies all
 //!   faults scheduled for an instant atomically at a barrier, then ships
-//!   purge/recover side effects to the owning regions. (This batching is a
-//!   deliberate, documented deviation from [`crate::sim::Simulator`],
-//!   which interleaves same-instant faults with route rebuilds one at a
-//!   time — so a sharded run is seed-stable across *its own* thread
-//!   counts, not byte-identical to the classic engine.)
+//!   purge/recover side effects to the owning regions.
 //! - **Metrics.** Per-region counters are pure sums, folded with
 //!   [`Metrics::absorb`].
 
@@ -51,6 +48,7 @@ use dde_obs::merge::{MergeKey, ShardMerger};
 use dde_obs::{EventKind, NullSink, Sink, TraceRecord};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -552,7 +550,7 @@ impl<P: Protocol> Region<P> {
         let Some(spec) = self.topology.link(from, to) else {
             // Context::try_send checks adjacency, so this is unreachable
             // from well-formed command streams; degrade to a counted drop
-            // rather than a panic (same policy as the sequential engine).
+            // rather than a panic (same policy as the send path).
             debug_assert!(false, "transmission on non-existent link {from}->{to}");
             self.metrics.messages_lost += 1;
             self.emit(
@@ -698,14 +696,55 @@ struct InstalledFault {
     event: FaultEvent,
 }
 
-/// The sharded conservative parallel simulator.
+/// The discrete-event simulator.
 ///
-/// Drop-in counterpart of [`crate::sim::Simulator`] for pre-scheduled
-/// workloads: construct, `set_medium`/`set_sink`, `install_faults`,
-/// `schedule_external`, then [`run_until`](ShardedSimulator::run_until).
-/// With `threads == 1` everything runs inline on the calling thread; with
-/// more threads each region runs on its own scoped worker for the duration
-/// of the run.
+/// Construct, `set_medium`/`set_sink`, `install_faults`,
+/// `schedule_external`, then [`run`](ShardedSimulator::run) or
+/// [`run_until`](ShardedSimulator::run_until). With `threads == 1`
+/// everything runs inline on the calling thread; with more threads each
+/// region runs on its own scoped worker for the duration of the run. The
+/// outcome is the same either way.
+///
+/// # Examples
+///
+/// A two-node ping-pong:
+///
+/// ```
+/// use dde_netsim::prelude::*;
+///
+/// struct Ping { count: u32 }
+///
+/// #[derive(Debug)]
+/// struct Ball;
+/// impl WireMessage for Ball {
+///     fn wire_size(&self) -> u64 { 100 }
+/// }
+///
+/// impl Protocol for Ping {
+///     type Msg = Ball;
+///     type Ext = ();
+///     fn on_start(&mut self, ctx: &mut Context<'_, Ball>) {
+///         if ctx.node() == NodeId(0) {
+///             ctx.send(NodeId(1), Ball);
+///         }
+///     }
+///     fn on_message(&mut self, ctx: &mut Context<'_, Ball>, from: NodeId, _msg: Ball) {
+///         self.count += 1;
+///         if self.count < 3 {
+///             ctx.send(from, Ball);
+///         }
+///     }
+/// }
+///
+/// for threads in [1, 2] {
+///     let topo = Topology::line(2, LinkSpec::mbps1());
+///     let nodes = vec![Ping { count: 0 }, Ping { count: 0 }];
+///     let mut sim = ShardedSimulator::new(topo, nodes, 7, threads);
+///     sim.run();
+///     // The ball bounces until each side has seen it 3 times: 5 deliveries.
+///     assert_eq!(sim.metrics().messages_delivered, 5);
+/// }
+/// ```
 pub struct ShardedSimulator<P: Protocol> {
     topology: Arc<Topology>,
     node_up: Arc<Vec<bool>>,
@@ -869,7 +908,7 @@ impl<P: Protocol> ShardedSimulator<P> {
 
     /// Schedules an external stimulus (e.g. a user query) for `node` at
     /// absolute time `at`. Externals dispatch in install order at equal
-    /// timestamps, exactly like the classic engine's insertion rule.
+    /// timestamps.
     pub fn schedule_external(&mut self, at: SimTime, node: NodeId, ext: P::Ext) {
         assert!(node.index() < self.node_up.len(), "node out of range");
         let at = at.max(self.now);
@@ -1203,7 +1242,12 @@ where
             .iter()
             .map(|r| r.heap.peek().map(|h| h.at))
             .collect();
-        let (out_tx, out_rx) = mpsc::channel::<WindowOut<P::Msg>>();
+        // Every window gets exactly one reply per worker: its results, or
+        // the payload of a handler panic. Re-raising that payload here makes
+        // the panic surface from `run` with its original message; without
+        // the reply, the recv loop below would wait forever on a dead
+        // worker while its siblings keep the channel open.
+        let (out_tx, out_rx) = mpsc::channel::<std::thread::Result<WindowOut<P::Msg>>>();
         let mut returned = std::thread::scope(|scope| {
             let mut cmd_txs = Vec::with_capacity(count);
             let mut handles = Vec::with_capacity(count);
@@ -1213,8 +1257,9 @@ where
                 let out_tx = out_tx.clone();
                 handles.push(scope.spawn(move || {
                     while let Ok(cmd) = cmd_rx.recv() {
-                        let out = region.run_window(cmd);
-                        if out_tx.send(out).is_err() {
+                        let out = panic::catch_unwind(AssertUnwindSafe(|| region.run_window(cmd)));
+                        let failed = out.is_err();
+                        if out_tx.send(out).is_err() || failed {
                             break;
                         }
                     }
@@ -1232,8 +1277,13 @@ where
                     tx.send(cmd).expect("region worker alive"); // lint: allow(panic) — workers outlive the loop by construction
                 }
                 for _ in 0..count {
-                    let out = out_rx.recv().expect("region worker result"); // lint: allow(panic) — each worker sends exactly one result per window
-                    self.collect_out(out, &mut region_next);
+                    let reply = out_rx.recv().expect("region worker reply"); // lint: allow(panic) — each worker sends exactly one reply per window
+                    match reply {
+                        Ok(out) => self.collect_out(out, &mut region_next),
+                        // Unwinding drops `cmd_txs`, so the other workers
+                        // exit and the scope can join them.
+                        Err(payload) => panic::resume_unwind(payload),
+                    }
                 }
                 self.merger.flush_into(&mut *self.sink);
                 assert!(
@@ -1293,7 +1343,6 @@ impl<P: Protocol> ShardedSimulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
     use crate::topology::LinkSpec;
 
     #[derive(Debug, Clone)]
@@ -1386,13 +1435,19 @@ mod tests {
 
     #[test]
     fn matches_classic_on_quiescent_workload() {
-        // The sharded engine is not byte-compatible with the classic one
-        // (stable keys vs. insertion order), but on a workload whose final
-        // state is order-insensitive the aggregate results must agree.
+        // "Classic" is the sequential reference: one region, run inline on
+        // the calling thread. Multi-region runs must agree with it, and it
+        // must agree with the hand count.
         let topo = ring_topology(6);
-        let mut classic = Simulator::new(topo.clone(), echo_nodes(6, 4), 3);
+        let mut classic = ShardedSimulator::new(topo.clone(), echo_nodes(6, 4), 3, 1);
         classic.run();
-        for threads in [1, 4] {
+        // Node 0 serves both ring neighbours; each rally runs hops 0..=4,
+        // so 5 deliveries of 100 B per rally.
+        assert_eq!(classic.metrics().messages_delivered, 10);
+        assert_eq!(classic.metrics().bytes_sent, 1_000);
+        let seen: Vec<u32> = classic.nodes().map(|n| n.seen).collect();
+        assert_eq!(seen, vec![4, 3, 0, 0, 0, 3]);
+        for threads in [2, 4] {
             let mut sharded = ShardedSimulator::new(topo.clone(), echo_nodes(6, 4), 3, threads);
             sharded.run();
             assert_eq!(
@@ -1401,8 +1456,7 @@ mod tests {
             );
             assert_eq!(sharded.metrics().bytes_sent, classic.metrics().bytes_sent);
             let a: Vec<u32> = sharded.nodes().map(|n| n.seen).collect();
-            let b: Vec<u32> = classic.nodes().map(|n| n.seen).collect();
-            assert_eq!(a, b);
+            assert_eq!(a, seen);
         }
     }
 
@@ -1533,11 +1587,15 @@ mod tests {
 
     #[test]
     fn half_duplex_matches_classic_counters() {
+        // Sequential (one-region) reference vs. multi-region runs.
         let topo = Topology::star(5, LinkSpec::mbps1());
-        let mut classic = Simulator::new(topo.clone(), echo_nodes(5, 10), 2);
+        let mut classic = ShardedSimulator::new(topo.clone(), echo_nodes(5, 10), 2, 1);
         classic.set_medium(MediumMode::HalfDuplexTx);
         classic.run();
-        for threads in [1, 3] {
+        // The hub serves four leaves; each rally runs hops 0..=10.
+        assert_eq!(classic.metrics().messages_delivered, 44);
+        assert_eq!(classic.metrics().bytes_sent, 4_400);
+        for threads in [2, 3] {
             let mut sharded = ShardedSimulator::new(topo.clone(), echo_nodes(5, 10), 2, threads);
             sharded.set_medium(MediumMode::HalfDuplexTx);
             sharded.run();

@@ -1,20 +1,15 @@
-//! The discrete-event simulation engine.
+//! The handler seam of the discrete-event simulator.
 //!
 //! This replaces the paper's EMANE-based emulation (§VII): each node runs a
-//! [`Protocol`] implementation; messages traverse links with finite
-//! bandwidth, propagation latency, and optional loss; everything is driven by
-//! a deterministic event heap keyed on `(time, sequence)` so identical seeds
-//! produce identical runs.
+//! [`Protocol`] implementation that sees the network only through a
+//! [`Context`] — clock, identity, topology, and an outbox of [`Command`]s
+//! (sends to neighbors, timers). The engine that drives these handlers is
+//! [`ShardedSimulator`](crate::shard::ShardedSimulator); live hosts such
+//! as `dde-net` drive the same seam against real sockets and clocks.
 
-use crate::fault::{FaultEvent, FaultSchedule};
-use crate::metrics::Metrics;
 use crate::topology::{NodeId, Topology};
 use dde_logic::time::{SimDuration, SimTime};
-use dde_obs::{EventKind, MemorySink, NullSink, SharedSink, Sink, TraceRecord};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use dde_obs::{EventKind, Sink, TraceRecord};
 
 /// A message that can be clocked onto a link.
 pub trait WireMessage {
@@ -71,15 +66,16 @@ pub trait Protocol {
     }
 
     /// Called when an external stimulus scheduled through
-    /// [`Simulator::schedule_external`] arrives.
+    /// [`ShardedSimulator::schedule_external`](crate::shard::ShardedSimulator::schedule_external)
+    /// arrives.
     fn on_external(&mut self, ctx: &mut Context<'_, Self::Msg>, ext: Self::Ext) {
         let _ = (ctx, ext);
     }
 
     /// Called when this node comes back up after a scheduled
-    /// [`FaultEvent::NodeRecover`]. Protocols use this to rebuild any
-    /// state lost in the crash (re-announce queries, re-arm timers).
-    /// Default: do nothing.
+    /// [`FaultEvent::NodeRecover`](crate::fault::FaultEvent::NodeRecover).
+    /// Protocols use this to rebuild any state lost in the crash
+    /// (re-announce queries, re-arm timers). Default: do nothing.
     fn on_recover(&mut self, ctx: &mut Context<'_, Self::Msg>) {
         let _ = ctx;
     }
@@ -105,8 +101,8 @@ impl<M> std::fmt::Debug for Context<'_, M> {
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Assembles a handler context. The sharded engine (`crate::shard`)
-    /// builds the same view per dispatched event, and external hosts (a
+    /// Assembles a handler context. The engine (`crate::shard`) builds
+    /// this view per dispatched event, and external hosts (a
     /// live transport runtime such as `dde-net`) use this to drive a
     /// [`Protocol`] outside any simulator: dispatch one handler, then
     /// drain the `commands` vec and realize each [`Command`] against the
@@ -249,10 +245,9 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// An action queued by a protocol handler, drained by whatever engine is
-/// driving the node: the event-heap [`Simulator`], the sharded engine, or
-/// an external host realizing sends against a live transport and timers
-/// against a wall-clock timer wheel.
+/// An action queued by a protocol handler, drained by whatever is driving
+/// the node: the DES engine, or an external host realizing sends against a
+/// live transport and timers against a wall-clock timer wheel.
 #[derive(Debug)]
 pub enum Command<M> {
     /// Transmit `msg` to the adjacent node `to`.
@@ -271,56 +266,6 @@ pub enum Command<M> {
     },
 }
 
-enum Event<P: Protocol> {
-    Start {
-        node: NodeId,
-    },
-    Deliver {
-        to: NodeId,
-        from: NodeId,
-        msg: P::Msg,
-    },
-    Timer {
-        node: NodeId,
-        tag: u64,
-    },
-    External {
-        node: NodeId,
-        ext: P::Ext,
-    },
-    /// A link finished clocking out its current message; start the next.
-    LinkFree {
-        from: NodeId,
-        to: NodeId,
-    },
-    /// A scheduled fault transition fires.
-    Fault(FaultEvent),
-}
-
-struct Scheduled<P: Protocol> {
-    at: SimTime,
-    seq: u64,
-    event: Event<P>,
-}
-
-impl<P: Protocol> PartialEq for Scheduled<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<P: Protocol> Eq for Scheduled<P> {}
-impl<P: Protocol> PartialOrd for Scheduled<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P: Protocol> Ord for Scheduled<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// How node transmitters share the medium.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MediumMode {
@@ -331,23 +276,6 @@ pub enum MediumMode {
     /// as in the paper's wireless EMANE setting. Receptions are unlimited
     /// (no interference model).
     HalfDuplexTx,
-}
-
-/// One recorded transmission, when tracing is enabled.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When the message started clocking onto the link.
-    pub at: SimTime,
-    /// Transmitting node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
-    /// The message's kind tag.
-    pub kind: &'static str,
-    /// Wire size in bytes.
-    pub bytes: u64,
-    /// Whether it rode in the background priority class.
-    pub background: bool,
 }
 
 /// Transmitter state of one directed link: whether it is currently
@@ -368,685 +296,16 @@ impl<M> Default for LinkState<M> {
     }
 }
 
-/// The discrete-event simulator.
-///
-/// # Examples
-///
-/// A two-node ping-pong:
-///
-/// ```
-/// use dde_netsim::prelude::*;
-///
-/// struct Ping { count: u32 }
-///
-/// #[derive(Debug)]
-/// struct Ball;
-/// impl WireMessage for Ball {
-///     fn wire_size(&self) -> u64 { 100 }
-/// }
-///
-/// impl Protocol for Ping {
-///     type Msg = Ball;
-///     type Ext = ();
-///     fn on_start(&mut self, ctx: &mut Context<'_, Ball>) {
-///         if ctx.node() == NodeId(0) {
-///             ctx.send(NodeId(1), Ball);
-///         }
-///     }
-///     fn on_message(&mut self, ctx: &mut Context<'_, Ball>, from: NodeId, _msg: Ball) {
-///         self.count += 1;
-///         if self.count < 3 {
-///             ctx.send(from, Ball);
-///         }
-///     }
-/// }
-///
-/// let topo = Topology::line(2, LinkSpec::mbps1());
-/// let mut sim = Simulator::new(topo, vec![Ping { count: 0 }, Ping { count: 0 }], 7);
-/// sim.run();
-/// // The ball bounces until each side has seen it 3 times: 5 deliveries.
-/// assert_eq!(sim.metrics().messages_delivered, 5);
-/// ```
-pub struct Simulator<P: Protocol> {
-    topology: Topology,
-    nodes: Vec<P>,
-    node_up: Vec<bool>,
-    heap: BinaryHeap<Scheduled<P>>,
-    now: SimTime,
-    seq: u64,
-    // per directed link: transmitter state and waiting messages
-    links: BTreeMap<(NodeId, NodeId), LinkState<P::Msg>>,
-    metrics: Metrics,
-    rng: SmallRng,
-    events_processed: u64,
-    sink: Box<dyn Sink>,
-    // Shim for the deprecated enable_trace/take_trace path: a handle to the
-    // MemorySink installed as `sink`, so take_trace can read it back.
-    legacy_trace: Option<SharedSink<MemorySink>>,
-    trace_cap: usize,
-    medium: MediumMode,
-    // number of in-flight transmissions per node (HalfDuplexTx: 0 or 1)
-    node_tx_busy: Vec<u32>,
-}
-
-impl<P: Protocol> std::fmt::Debug for Simulator<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulator")
-            .field("nodes", &self.nodes.len())
-            .field("now", &self.now)
-            .field("pending_events", &self.heap.len())
-            .field("events_processed", &self.events_processed)
-            .finish()
-    }
-}
-
-impl<P: Protocol> Simulator<P> {
-    /// Creates a simulator over `topology` with one protocol instance per
-    /// node. `seed` drives link-loss sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len() != topology.len()` or if routing tables are
-    /// stale.
-    pub fn new(mut topology: Topology, nodes: Vec<P>, seed: u64) -> Simulator<P> {
-        assert_eq!(
-            nodes.len(),
-            topology.len(),
-            "need exactly one protocol instance per topology node"
-        );
-        topology.ensure_routes();
-        let n = nodes.len();
-        let mut sim = Simulator {
-            topology,
-            nodes,
-            node_up: vec![true; n],
-            heap: BinaryHeap::new(),
-            now: SimTime::ZERO,
-            seq: 0,
-            links: BTreeMap::new(),
-            metrics: Metrics::new(),
-            rng: SmallRng::seed_from_u64(seed),
-            events_processed: 0,
-            sink: Box::new(NullSink),
-            legacy_trace: None,
-            trace_cap: 0,
-            medium: MediumMode::FullDuplex,
-            node_tx_busy: vec![0; n],
-        };
-        for i in 0..n {
-            sim.push(SimTime::ZERO, Event::Start { node: NodeId(i) });
-        }
-        sim
-    }
-
-    fn push(&mut self, at: SimTime, event: Event<P>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
-    }
-
-    /// Records a simulator-level trace event attributed to `node`, stamped
-    /// with the current simulated time. No-op when the sink is disabled.
-    fn emit(&mut self, node: NodeId, kind: EventKind) {
-        if self.sink.enabled() {
-            self.sink.record(&TraceRecord {
-                at: self.now,
-                node: node.index() as u32,
-                kind,
-            });
-        }
-    }
-
-    /// Schedules an external stimulus (e.g. a user query) for `node` at
-    /// absolute time `at`.
-    pub fn schedule_external(&mut self, at: SimTime, node: NodeId, ext: P::Ext) {
-        assert!(node.index() < self.nodes.len(), "node out of range");
-        self.push(at.max(self.now), Event::External { node, ext });
-    }
-
-    /// Installs every event of a [`FaultSchedule`] into the event heap.
-    ///
-    /// Faults fire at their exact scheduled instants; at equal timestamps,
-    /// faults installed here precede protocol events scheduled later (the
-    /// heap breaks ties by insertion sequence). Installing an **empty**
-    /// schedule is a strict no-op: no events, no RNG draws, no state
-    /// changes — the run is bit-identical to one without this call.
-    ///
-    /// May be called multiple times; schedules merge in the heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event is scheduled before the current simulated time
-    /// or names a node outside the topology.
-    pub fn install_faults(&mut self, schedule: &FaultSchedule) {
-        for f in schedule.events() {
-            assert!(f.at >= self.now, "fault scheduled in the past: {f:?}");
-            let valid = |n: NodeId| n.index() < self.nodes.len();
-            match f.event {
-                FaultEvent::NodeCrash(n) | FaultEvent::NodeRecover(n) => {
-                    assert!(valid(n), "fault names unknown node {n}");
-                }
-                FaultEvent::LinkDown(a, b) | FaultEvent::LinkUp(a, b) => {
-                    assert!(valid(a) && valid(b), "fault names unknown link {a}-{b}");
-                    assert!(
-                        self.topology.has_link(a, b),
-                        "fault names non-existent link {a}-{b}"
-                    );
-                }
-            }
-            self.push(f.at, Event::Fault(f.event));
-        }
-    }
-
-    /// Applies a single fault transition at the current instant.
-    fn apply_fault(&mut self, fault: FaultEvent) {
-        match fault {
-            FaultEvent::NodeCrash(n) => {
-                if !self.node_up[n.index()] {
-                    return; // already down: idempotent
-                }
-                self.emit(
-                    n,
-                    EventKind::Fault {
-                        fault: "node-crash",
-                        node: n.index() as u32,
-                        peer: None,
-                    },
-                );
-                self.node_up[n.index()] = false;
-                self.topology.set_node_enabled(n, false);
-                self.topology.rebuild_routes();
-                // The crashed transmitter's queued (never-sent) traffic
-                // vanishes with it. In-flight transmissions already
-                // radiated their tail and complete normally — delivery
-                // *to* the crashed node is dropped at arrival.
-                let neighbors: Vec<NodeId> = self.topology.neighbors(n).collect();
-                for nb in neighbors {
-                    self.purge_link_queues(n, nb);
-                }
-            }
-            FaultEvent::NodeRecover(n) => {
-                if self.node_up[n.index()] {
-                    return; // already up: idempotent
-                }
-                self.emit(
-                    n,
-                    EventKind::Fault {
-                        fault: "node-recover",
-                        node: n.index() as u32,
-                        peer: None,
-                    },
-                );
-                self.node_up[n.index()] = true;
-                self.topology.set_node_enabled(n, true);
-                self.topology.rebuild_routes();
-                let mut commands = Vec::new();
-                {
-                    let mut ctx = Context {
-                        now: self.now,
-                        node: n,
-                        topology: &self.topology,
-                        commands: &mut commands,
-                        sink: &mut *self.sink,
-                    };
-                    self.nodes[n.index()].on_recover(&mut ctx);
-                }
-                for cmd in commands {
-                    match cmd {
-                        Command::Send { to, msg } => self.transmit(n, to, msg),
-                        Command::Timer { at, tag } => self.push(at, Event::Timer { node: n, tag }),
-                    }
-                }
-            }
-            FaultEvent::LinkDown(a, b) => {
-                if self.topology.set_link_enabled(a, b, false) {
-                    self.emit(
-                        a,
-                        EventKind::Fault {
-                            fault: "link-down",
-                            node: a.index() as u32,
-                            peer: Some(b.index() as u32),
-                        },
-                    );
-                    self.topology.rebuild_routes();
-                    self.purge_link_queues(a, b);
-                    self.purge_link_queues(b, a);
-                }
-            }
-            FaultEvent::LinkUp(a, b) => {
-                if self.topology.set_link_enabled(a, b, true) {
-                    self.emit(
-                        a,
-                        EventKind::Fault {
-                            fault: "link-up",
-                            node: a.index() as u32,
-                            peer: Some(b.index() as u32),
-                        },
-                    );
-                    self.topology.rebuild_routes();
-                }
-            }
-        }
-    }
-
-    /// Discards everything waiting (never sent) on the directed link
-    /// `from → to`, counting the purge in the metrics.
-    fn purge_link_queues(&mut self, from: NodeId, to: NodeId) {
-        if let Some(link) = self.links.get_mut(&(from, to)) {
-            let purged = (link.foreground.len() + link.background.len()) as u64;
-            link.foreground.clear();
-            link.background.clear();
-            self.metrics.messages_purged_by_fault += purged;
-            if purged > 0 {
-                self.emit(
-                    from,
-                    EventKind::Purge {
-                        from: from.index() as u32,
-                        to: to.index() as u32,
-                        count: purged,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Marks a node up or down. Messages to/from a down node are dropped;
-    /// its timers and externals are swallowed.
-    pub fn set_node_up(&mut self, node: NodeId, up: bool) {
-        self.node_up[node.index()] = up;
-    }
-
-    /// Whether `node` is currently up.
-    pub fn is_node_up(&self, node: NodeId) -> bool {
-        self.node_up[node.index()]
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Traffic counters.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Selects how node transmitters share the medium. Must be called
-    /// before any traffic flows.
-    pub fn set_medium(&mut self, medium: MediumMode) {
-        debug_assert_eq!(self.metrics.messages_sent, 0, "set_medium before traffic");
-        self.medium = medium;
-    }
-
-    /// Installs a trace sink; every subsequent simulator and protocol event
-    /// is recorded into it. The default is [`dde_obs::NullSink`], whose
-    /// cost is one `enabled()` branch per instrumentation site.
-    pub fn set_sink(&mut self, sink: Box<dyn Sink>) {
-        self.legacy_trace = None;
-        self.sink = sink;
-    }
-
-    /// The active trace sink (e.g. to flush it mid-run).
-    pub fn sink_mut(&mut self) -> &mut dyn Sink {
-        &mut *self.sink
-    }
-
-    /// Removes and returns the active sink, restoring the null sink.
-    pub fn take_sink(&mut self) -> Box<dyn Sink> {
-        self.legacy_trace = None;
-        std::mem::replace(&mut self.sink, Box::new(NullSink))
-    }
-
-    /// Starts recording transmissions (up to `cap` events) for
-    /// message-flow inspection; see [`Simulator::take_trace`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Simulator::set_sink with a dde-obs sink; transmissions are EventKind::Transmit records"
-    )]
-    pub fn enable_trace(&mut self, cap: usize) {
-        let shared = SharedSink::new(MemorySink::new());
-        self.legacy_trace = Some(shared.clone());
-        self.trace_cap = cap;
-        self.sink = Box::new(shared);
-    }
-
-    /// Returns and clears the recorded trace (empty if tracing was never
-    /// enabled), uninstalling the sink that
-    /// [`enable_trace`](Simulator::enable_trace) set up.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Simulator::set_sink with a dde-obs sink; transmissions are EventKind::Transmit records"
-    )]
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        let Some(shared) = self.legacy_trace.take() else {
-            return Vec::new();
-        };
-        self.sink = Box::new(NullSink);
-        shared
-            .with(|s| s.take())
-            .into_iter()
-            .filter_map(|rec| match rec.kind {
-                EventKind::Transmit {
-                    from,
-                    to,
-                    msg,
-                    bytes,
-                    background,
-                    ..
-                } => Some(TraceEvent {
-                    at: rec.at,
-                    from: NodeId(from as usize),
-                    to: NodeId(to as usize),
-                    kind: msg,
-                    bytes,
-                    background,
-                }),
-                _ => None,
-            })
-            .take(self.trace_cap)
-            .collect()
-    }
-
-    /// The topology the simulation runs over.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Shared access to a node's protocol state.
-    pub fn node(&self, id: NodeId) -> &P {
-        &self.nodes[id.index()]
-    }
-
-    /// Exclusive access to a node's protocol state (for post-run inspection
-    /// or fault injection between runs).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.nodes[id.index()]
-    }
-
-    /// Iterates over all protocol instances.
-    pub fn nodes(&self) -> impl Iterator<Item = &P> {
-        self.nodes.iter()
-    }
-
-    /// Consumes the simulator, returning the protocol instances.
-    pub fn into_nodes(self) -> Vec<P> {
-        self.nodes
-    }
-
-    /// Processes a single event. Returns `false` when the event queue is
-    /// empty.
-    pub fn step(&mut self) -> bool {
-        let Some(Scheduled { at, event, .. }) = self.heap.pop() else {
-            return false;
-        };
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
-        self.events_processed += 1;
-
-        if let Event::LinkFree { from, to } = event {
-            self.link_freed(from, to);
-            return true;
-        }
-        if let Event::Fault(fault) = event {
-            self.apply_fault(fault);
-            return true;
-        }
-        let mut commands = Vec::new();
-        let node_id = match &event {
-            Event::Start { node } | Event::Timer { node, .. } | Event::External { node, .. } => {
-                *node
-            }
-            Event::Deliver { to, .. } => *to,
-            Event::LinkFree { .. } | Event::Fault(_) => unreachable!("handled above"),
-        };
-        if let Event::Deliver { from, to, .. } = &event {
-            // The link went down (by fault) while the message was in flight:
-            // it never arrives.
-            if !self.topology.is_link_enabled(*from, *to) {
-                self.metrics.messages_dropped += 1;
-                self.metrics.messages_dropped_by_fault += 1;
-                let (from, to) = (*from, *to);
-                self.emit(
-                    to,
-                    EventKind::Drop {
-                        from: from.index() as u32,
-                        to: to.index() as u32,
-                        reason: "link-down",
-                    },
-                );
-                return true;
-            }
-        }
-        if !self.node_up[node_id.index()] {
-            if let Event::Deliver { from, to, .. } = &event {
-                self.metrics.messages_dropped += 1;
-                // A destination downed by the fault schedule (rather than by
-                // a manual `set_node_up`) is visible in the topology state.
-                if !self.topology.is_node_enabled(node_id) {
-                    self.metrics.messages_dropped_by_fault += 1;
-                }
-                let (from, to) = (*from, *to);
-                self.emit(
-                    to,
-                    EventKind::Drop {
-                        from: from.index() as u32,
-                        to: to.index() as u32,
-                        reason: "node-down",
-                    },
-                );
-            }
-            return true;
-        }
-        if let Event::Deliver { from, to, msg } = &event {
-            let kind = msg.kind();
-            let (from, to) = (*from, *to);
-            self.emit(
-                to,
-                EventKind::Deliver {
-                    from: from.index() as u32,
-                    to: to.index() as u32,
-                    msg: kind,
-                    query: msg.attribution(),
-                },
-            );
-        }
-
-        {
-            let mut ctx = Context {
-                now: self.now,
-                node: node_id,
-                topology: &self.topology,
-                commands: &mut commands,
-                sink: &mut *self.sink,
-            };
-            let node = &mut self.nodes[node_id.index()];
-            match event {
-                Event::Start { .. } => node.on_start(&mut ctx),
-                Event::Deliver { from, msg, .. } => {
-                    self.metrics.messages_delivered += 1;
-                    node.on_message(&mut ctx, from, msg)
-                }
-                Event::Timer { tag, .. } => node.on_timer(&mut ctx, tag),
-                Event::External { ext, .. } => node.on_external(&mut ctx, ext),
-                Event::LinkFree { .. } | Event::Fault(_) => unreachable!("handled above"),
-            }
-        }
-
-        for cmd in commands {
-            match cmd {
-                Command::Send { to, msg } => self.transmit(node_id, to, msg),
-                Command::Timer { at, tag } => self.push(at, Event::Timer { node: node_id, tag }),
-            }
-        }
-        true
-    }
-
-    fn transmit(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let node_blocked =
-            self.medium == MediumMode::HalfDuplexTx && self.node_tx_busy[from.index()] > 0;
-        let link = self.links.entry((from, to)).or_default();
-        if link.busy || node_blocked {
-            if msg.background() {
-                link.background.push_back(msg);
-            } else {
-                link.foreground.push_back(msg);
-            }
-        } else {
-            self.start_transmission(from, to, msg);
-        }
-    }
-
-    /// Begins clocking `msg` onto the (idle) link `from → to`.
-    fn start_transmission(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
-        let Some(spec) = self.topology.link(from, to) else {
-            // Context::try_send checks adjacency, so this is unreachable
-            // from well-formed command streams; degrade to a counted drop
-            // rather than a panic (same policy as the send path).
-            debug_assert!(false, "transmission on non-existent link {from}->{to}");
-            self.metrics.messages_lost += 1;
-            self.emit(
-                from,
-                EventKind::Drop {
-                    from: from.index() as u32,
-                    to: to.index() as u32,
-                    reason: "not-neighbor",
-                },
-            );
-            return;
-        };
-        let bytes = msg.wire_size();
-        let depart = self.now + spec.transmission_time(bytes);
-        self.links.entry((from, to)).or_default().busy = true;
-        self.node_tx_busy[from.index()] += 1;
-        self.metrics.record_send(from, to, bytes, msg.kind());
-        self.emit(
-            from,
-            EventKind::Transmit {
-                from: from.index() as u32,
-                to: to.index() as u32,
-                msg: msg.kind(),
-                bytes,
-                background: msg.background(),
-                query: msg.attribution(),
-            },
-        );
-        let lost = spec.loss > 0.0 && self.rng.gen::<f64>() < spec.loss;
-        if !lost {
-            let arrival = depart + spec.latency;
-            self.push(arrival, Event::Deliver { to, from, msg });
-        } else {
-            self.metrics.messages_lost += 1;
-            self.emit(
-                from,
-                EventKind::Loss {
-                    from: from.index() as u32,
-                    to: to.index() as u32,
-                    msg: msg.kind(),
-                    bytes,
-                    query: msg.attribution(),
-                },
-            );
-        }
-        self.push(depart, Event::LinkFree { from, to });
-    }
-
-    /// The link finished a transmission: start the next waiting message —
-    /// foreground strictly before background. Under [`MediumMode::HalfDuplexTx`]
-    /// the freed *radio* may serve any of the node's outgoing links
-    /// (foreground anywhere beats background anywhere; ties go to the
-    /// lowest-numbered neighbor for determinism).
-    fn link_freed(&mut self, from: NodeId, to: NodeId) {
-        self.links.entry((from, to)).or_default().busy = false;
-        self.node_tx_busy[from.index()] = self.node_tx_busy[from.index()].saturating_sub(1);
-        match self.medium {
-            MediumMode::FullDuplex => {
-                let link = self.links.entry((from, to)).or_default();
-                let next = link
-                    .foreground
-                    .pop_front()
-                    .or_else(|| link.background.pop_front());
-                if let Some(msg) = next {
-                    self.start_transmission(from, to, msg);
-                }
-            }
-            MediumMode::HalfDuplexTx => {
-                if self.node_tx_busy[from.index()] > 0 {
-                    return; // radio already claimed again
-                }
-                let neighbors: Vec<NodeId> = self.topology.neighbors(from).collect();
-                // Foreground from any link first, then background.
-                for foreground in [true, false] {
-                    for &nb in &neighbors {
-                        let Some(link) = self.links.get_mut(&(from, nb)) else {
-                            continue;
-                        };
-                        if link.busy {
-                            continue;
-                        }
-                        let next = if foreground {
-                            link.foreground.pop_front()
-                        } else {
-                            link.background.pop_front()
-                        };
-                        if let Some(msg) = next {
-                            self.start_transmission(from, nb, msg);
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs until the event queue drains. Returns the number of events
-    /// processed by this call.
-    ///
-    /// # Panics
-    ///
-    /// Panics after 100 million events as a runaway-protocol backstop; use
-    /// [`Simulator::run_until`] for open-ended workloads.
-    pub fn run(&mut self) -> u64 {
-        let before = self.events_processed;
-        while self.step() {
-            assert!(
-                self.events_processed < 100_000_000,
-                "runaway simulation: 1e8 events processed"
-            );
-        }
-        self.events_processed - before
-    }
-
-    /// Runs until simulated time would exceed `deadline` (events at exactly
-    /// `deadline` are processed) or the queue drains. Returns the number of
-    /// events processed by this call.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let before = self.events_processed;
-        while let Some(head) = self.heap.peek() {
-            if head.at > deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.events_processed - before
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    // Tests capture observations in thread-local RefCells; test code is
-    // outside the shard-safety envelope.
-    #![allow(clippy::disallowed_types)]
-
     use super::*;
+    use crate::fault::FaultSchedule;
+    use crate::shard::ShardedSimulator;
     use crate::topology::LinkSpec;
+
+    /// Every engine test runs inline (one region) and on two worker
+    /// threads; the results must not depend on which.
+    const THREADS: [usize; 2] = [1, 2];
 
     #[derive(Debug, Clone)]
     struct Packet(u64);
@@ -1059,8 +318,8 @@ mod tests {
         }
     }
 
-    /// Flood protocol: node 0 sends `initial` packets to its neighbor at
-    /// start; every receiver re-sends up to `ttl` times.
+    /// Node 0 optionally sends one 1 s packet to node 1 at start; every
+    /// node logs its arrivals and forwards externals toward node 0.
     struct Echo {
         received_at: Vec<SimTime>,
         bounce: bool,
@@ -1076,8 +335,8 @@ mod tests {
             }
         }
 
-        fn on_message(&mut self, _ctx: &mut Context<'_, Packet>, _from: NodeId, _msg: Packet) {
-            self.received_at.push(_ctx.now());
+        fn on_message(&mut self, ctx: &mut Context<'_, Packet>, _from: NodeId, _msg: Packet) {
+            self.received_at.push(ctx.now());
         }
 
         fn on_external(&mut self, ctx: &mut Context<'_, Packet>, ext: Packet) {
@@ -1096,22 +355,31 @@ mod tests {
         }
     }
 
+    /// A schedule that takes `node` down for the whole run.
+    fn down_from_start(node: NodeId) -> FaultSchedule {
+        let mut faults = FaultSchedule::new();
+        faults.crash_at(SimTime::ZERO, node);
+        faults
+    }
+
     #[test]
     fn transfer_time_includes_tx_and_latency() {
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
-        sim.run();
-        let rx = &sim.node(NodeId(1)).received_at;
-        assert_eq!(rx.len(), 1);
-        // 125000 B * 8 / 1 Mbps = 1 s, + 1 ms latency.
-        assert_eq!(rx[0], SimTime::from_millis(1001));
-        assert_eq!(sim.metrics().bytes_sent, 125_000);
-        assert_eq!(sim.metrics().kind("packet").count, 1);
+        for threads in THREADS {
+            let topo = Topology::line(2, LinkSpec::mbps1());
+            let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, threads);
+            sim.run();
+            let rx = &sim.node(NodeId(1)).received_at;
+            assert_eq!(rx.len(), 1);
+            // 125000 B * 8 / 1 Mbps = 1 s, + 1 ms latency.
+            assert_eq!(rx[0], SimTime::from_millis(1001));
+            assert_eq!(sim.metrics().bytes_sent, 125_000);
+            assert_eq!(sim.metrics().kind("packet").count, 1);
+        }
     }
 
     #[test]
     fn fifo_link_serializes_transmissions() {
-        struct Burst;
+        struct Burst(Vec<SimTime>);
         impl Protocol for Burst {
             type Msg = Packet;
             type Ext = ();
@@ -1123,47 +391,48 @@ mod tests {
                 }
             }
             fn on_message(&mut self, ctx: &mut Context<'_, Packet>, _: NodeId, _: Packet) {
-                ARRIVALS.with(|a| a.borrow_mut().push(ctx.now()));
+                self.0.push(ctx.now());
             }
         }
-        thread_local! {
-            static ARRIVALS: std::cell::RefCell<Vec<SimTime>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        ARRIVALS.with(|a| a.borrow_mut().clear());
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Burst, Burst], 1);
-        sim.run();
-        ARRIVALS.with(|a| {
-            let arr = a.borrow();
+        for threads in THREADS {
+            let topo = Topology::line(2, LinkSpec::mbps1());
+            let mut sim =
+                ShardedSimulator::new(topo, vec![Burst(Vec::new()), Burst(Vec::new())], 1, threads);
+            sim.run();
+            let arr = &sim.node(NodeId(1)).0;
             assert_eq!(arr.len(), 2);
             // Second transmission waits for the first to clear the link.
             assert_eq!(arr[0], SimTime::from_millis(501));
             assert_eq!(arr[1], SimTime::from_millis(1001));
-        });
+        }
     }
 
     #[test]
     fn external_events_are_delivered() {
-        let topo = Topology::line(3, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(false), echo(false), echo(false)], 1);
-        // Node 2 receives an external packet and forwards toward node 0.
-        sim.schedule_external(SimTime::from_secs(1), NodeId(2), Packet(1000));
-        sim.run();
-        assert_eq!(sim.node(NodeId(1)).received_at.len(), 1);
-        assert!(sim.node(NodeId(1)).received_at[0] > SimTime::from_secs(1));
+        for threads in THREADS {
+            let topo = Topology::line(3, LinkSpec::mbps1());
+            let nodes = vec![echo(false), echo(false), echo(false)];
+            let mut sim = ShardedSimulator::new(topo, nodes, 1, threads);
+            // Node 2 receives an external packet and forwards toward node 0.
+            sim.schedule_external(SimTime::from_secs(1), NodeId(2), Packet(1000));
+            sim.run();
+            assert_eq!(sim.node(NodeId(1)).received_at.len(), 1);
+            assert!(sim.node(NodeId(1)).received_at[0] > SimTime::from_secs(1));
+        }
     }
 
     #[test]
     fn down_node_drops_messages() {
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
-        sim.set_node_up(NodeId(1), false);
-        sim.run();
-        assert_eq!(sim.node(NodeId(1)).received_at.len(), 0);
-        assert_eq!(sim.metrics().messages_dropped, 1);
-        // Bytes were still consumed on the medium.
-        assert_eq!(sim.metrics().bytes_sent, 125_000);
+        for threads in THREADS {
+            let topo = Topology::line(2, LinkSpec::mbps1());
+            let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, threads);
+            sim.install_faults(&down_from_start(NodeId(1)));
+            sim.run();
+            assert_eq!(sim.node(NodeId(1)).received_at.len(), 0);
+            assert_eq!(sim.metrics().messages_dropped, 1);
+            // Bytes were still consumed on the medium.
+            assert_eq!(sim.metrics().bytes_sent, 125_000);
+        }
     }
 
     #[test]
@@ -1181,33 +450,38 @@ mod tests {
             }
             fn on_message(&mut self, _: &mut Context<'_, Packet>, _: NodeId, _: Packet) {}
         }
-        let mut topo = Topology::new(2);
-        topo.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1().loss(0.5));
-        topo.rebuild_routes();
-        let mut sim = Simulator::new(topo, vec![Spam, Spam], 42);
-        sim.run();
-        let m = sim.metrics();
-        assert_eq!(m.messages_sent, 100);
-        assert_eq!(m.bytes_sent, 10_000);
-        assert!(
-            m.messages_lost > 20 && m.messages_lost < 80,
-            "lost {}",
-            m.messages_lost
-        );
-        assert_eq!(m.messages_lost + m.messages_delivered, 100);
+        for threads in THREADS {
+            let mut topo = Topology::new(2);
+            topo.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1().loss(0.5));
+            topo.rebuild_routes();
+            let mut sim = ShardedSimulator::new(topo, vec![Spam, Spam], 42, threads);
+            sim.run();
+            let m = sim.metrics();
+            assert_eq!(m.messages_sent, 100);
+            assert_eq!(m.bytes_sent, 10_000);
+            assert!(
+                m.messages_lost > 20 && m.messages_lost < 80,
+                "lost {}",
+                m.messages_lost
+            );
+            assert_eq!(m.messages_lost + m.messages_delivered, 100);
+        }
     }
 
     #[test]
     fn identical_seeds_identical_runs() {
-        let run = |seed| {
+        let run = |seed, threads| {
             let mut topo = Topology::new(2);
             topo.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1().loss(0.3));
             topo.rebuild_routes();
-            let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], seed);
+            let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], seed, threads);
             sim.run();
             (sim.metrics().messages_lost, sim.events_processed())
         };
-        assert_eq!(run(9), run(9));
+        for threads in THREADS {
+            assert_eq!(run(9, threads), run(9, threads));
+            assert_eq!(run(9, threads), run(9, 1));
+        }
     }
 
     #[test]
@@ -1224,14 +498,16 @@ mod tests {
                 ctx.set_timer(SimDuration::from_secs(1), tag + 1);
             }
         }
-        let topo = Topology::line(1, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![TimerChain], 1);
-        sim.run_until(SimTime::from_secs(5));
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-        // start + timers at 1..=5.
-        assert_eq!(sim.events_processed(), 6);
-        // Queue still holds the timer at t=6.
-        assert!(sim.step());
+        for threads in THREADS {
+            let topo = Topology::line(1, LinkSpec::mbps1());
+            let mut sim = ShardedSimulator::new(topo, vec![TimerChain], 1, threads);
+            sim.run_until(SimTime::from_secs(5));
+            assert_eq!(sim.now(), SimTime::from_secs(5));
+            // start + timers at 1..=5.
+            assert_eq!(sim.events_processed(), 6);
+            // Queue still holds the timer at t=6.
+            assert_eq!(sim.run_until(SimTime::from_secs(6)), 1);
+        }
     }
 
     #[test]
@@ -1249,18 +525,16 @@ mod tests {
                 self.0.push(tag);
             }
         }
-        let topo = Topology::line(1, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Tags(Vec::new())], 1);
-        sim.run();
-        assert_eq!(sim.node(NodeId(0)).0, vec![3, 7]);
+        for threads in THREADS {
+            let topo = Topology::line(1, LinkSpec::mbps1());
+            let mut sim = ShardedSimulator::new(topo, vec![Tags(Vec::new())], 1, threads);
+            sim.run();
+            assert_eq!(sim.node(NodeId(0)).0, vec![3, 7]);
+        }
     }
 
-    // The debug assertion stays so DES tests catch routing bugs loudly;
-    // release builds degrade to a typed error (next test).
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "non-neighbor")]
-    fn sending_to_non_neighbor_panics() {
+    /// Node 0 sends to node 2 on a 3-node line: not a neighbor.
+    fn send_to_non_neighbor(threads: usize) {
         struct Bad;
         impl Protocol for Bad {
             type Msg = Packet;
@@ -1273,7 +547,45 @@ mod tests {
             fn on_message(&mut self, _: &mut Context<'_, Packet>, _: NodeId, _: Packet) {}
         }
         let topo = Topology::line(3, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Bad, Bad, Bad], 1);
+        let mut sim = ShardedSimulator::new(topo, vec![Bad, Bad, Bad], 1, threads);
+        sim.run();
+    }
+
+    // The debug assertion stays so DES tests catch routing bugs loudly;
+    // release builds degrade to a typed error (see the try_send test). At
+    // two threads the assertion fires on a region worker, and the panic
+    // must reach the caller instead of stalling the barrier.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "non-neighbor")]
+    fn sending_to_non_neighbor_panics() {
+        send_to_non_neighbor(2);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "non-neighbor")]
+    fn sending_to_non_neighbor_panics_inline() {
+        send_to_non_neighbor(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "handler exploded at node 2")]
+    fn handler_panic_on_a_worker_propagates() {
+        struct Fuse;
+        impl Protocol for Fuse {
+            type Msg = Packet;
+            type Ext = ();
+            fn on_start(&mut self, ctx: &mut Context<'_, Packet>) {
+                if ctx.node() == NodeId(2) {
+                    panic!("handler exploded at node 2");
+                }
+                ctx.set_timer(SimDuration::from_secs(1), 0);
+            }
+            fn on_message(&mut self, _: &mut Context<'_, Packet>, _: NodeId, _: Packet) {}
+        }
+        let topo = Topology::line(4, LinkSpec::mbps1());
+        let mut sim = ShardedSimulator::new(topo, vec![Fuse, Fuse, Fuse, Fuse], 1, 2);
         sim.run();
     }
 
@@ -1294,18 +606,20 @@ mod tests {
             }
             fn on_message(&mut self, _: &mut Context<'_, Packet>, _: NodeId, _: Packet) {}
         }
-        let topo = Topology::line(3, LinkSpec::mbps1());
-        let nodes = (0..3).map(|_| Probe { err: None }).collect();
-        let mut sim = Simulator::new(topo, nodes, 1);
-        sim.run();
-        assert_eq!(
-            sim.node(NodeId(0)).err,
-            Some(SendError::NotNeighbor {
-                from: NodeId(0),
-                to: NodeId(2),
-            })
-        );
-        assert_eq!(sim.metrics().messages_delivered, 1);
+        for threads in THREADS {
+            let topo = Topology::line(3, LinkSpec::mbps1());
+            let nodes = (0..3).map(|_| Probe { err: None }).collect();
+            let mut sim = ShardedSimulator::new(topo, nodes, 1, threads);
+            sim.run();
+            assert_eq!(
+                sim.node(NodeId(0)).err,
+                Some(SendError::NotNeighbor {
+                    from: NodeId(0),
+                    to: NodeId(2),
+                })
+            );
+            assert_eq!(sim.metrics().messages_delivered, 1);
+        }
     }
 
     #[test]
@@ -1320,67 +634,70 @@ mod tests {
                 self.1
             }
         }
-        struct Mixer;
+        /// Node 0 sends `sends` at start; every node logs
+        /// `(arrival, background)`.
+        struct Mixer {
+            sends: Vec<Tagged>,
+            log: Vec<(SimTime, bool)>,
+        }
         impl Protocol for Mixer {
             type Msg = Tagged;
             type Ext = ();
             fn on_start(&mut self, ctx: &mut Context<'_, Tagged>) {
                 if ctx.node() == NodeId(0) {
-                    // One background blob first, then two foreground packets.
-                    ctx.send(NodeId(1), Tagged(125_000, true)); // 1 s
-                    ctx.send(NodeId(1), Tagged(62_500, false)); // 0.5 s
-                    ctx.send(NodeId(1), Tagged(62_500, false)); // 0.5 s
+                    for msg in self.sends.drain(..) {
+                        ctx.send(NodeId(1), msg);
+                    }
                 }
             }
             fn on_message(&mut self, ctx: &mut Context<'_, Tagged>, _: NodeId, msg: Tagged) {
-                MIXER_LOG.with(|l| l.borrow_mut().push((ctx.now(), msg.1)));
+                self.log.push((ctx.now(), msg.1));
             }
         }
-        thread_local! {
-            static MIXER_LOG: std::cell::RefCell<Vec<(SimTime, bool)>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        MIXER_LOG.with(|l| l.borrow_mut().clear());
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Mixer, Mixer], 1);
-        sim.run();
-        MIXER_LOG.with(|l| {
-            let log = l.borrow();
+        let run = |sends: Vec<Tagged>, threads| {
+            let topo = Topology::line(2, LinkSpec::mbps1());
+            let nodes = vec![
+                Mixer {
+                    sends,
+                    log: Vec::new(),
+                },
+                Mixer {
+                    sends: Vec::new(),
+                    log: Vec::new(),
+                },
+            ];
+            let mut sim = ShardedSimulator::new(topo, nodes, 1, threads);
+            sim.run();
+            sim.node(NodeId(1)).log.clone()
+        };
+        for threads in THREADS {
+            // One background blob first, then two foreground packets.
+            let log = run(
+                vec![
+                    Tagged(125_000, true), // 1 s
+                    Tagged(62_500, false), // 0.5 s
+                    Tagged(62_500, false), // 0.5 s
+                ],
+                threads,
+            );
             assert_eq!(log.len(), 3);
-            // All three arrived at start together; the background blob was
-            // already in flight (non-preemptive), but the two foreground
-            // packets overtake any *queued* background work. Since the blob
-            // started first (queue order), it arrives first; had it been
-            // queued behind, it would arrive last — exercise that too:
+            // All three were sent at start together; the background blob
+            // was already in flight (non-preemptive), but the two
+            // foreground packets overtake any *queued* background work.
+            // Since the blob started first (queue order), it arrives first;
+            // had it been queued behind, it would arrive last — exercise
+            // that too:
             assert!(log.iter().filter(|(_, bg)| *bg).count() == 1);
-        });
 
-        // Second shape: foreground first, then background + foreground mix.
-        struct Mixer2;
-        impl Protocol for Mixer2 {
-            type Msg = Tagged;
-            type Ext = ();
-            fn on_start(&mut self, ctx: &mut Context<'_, Tagged>) {
-                if ctx.node() == NodeId(0) {
-                    ctx.send(NodeId(1), Tagged(62_500, false)); // starts now
-                    ctx.send(NodeId(1), Tagged(125_000, true)); // queued bg
-                    ctx.send(NodeId(1), Tagged(62_500, false)); // queued fg
-                }
-            }
-            fn on_message(&mut self, ctx: &mut Context<'_, Tagged>, _: NodeId, msg: Tagged) {
-                MIXER2_LOG.with(|l| l.borrow_mut().push((ctx.now(), msg.1)));
-            }
-        }
-        thread_local! {
-            static MIXER2_LOG: std::cell::RefCell<Vec<(SimTime, bool)>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        MIXER2_LOG.with(|l| l.borrow_mut().clear());
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Mixer2, Mixer2], 1);
-        sim.run();
-        MIXER2_LOG.with(|l| {
-            let log = l.borrow();
+            // Second shape: foreground first, then background + foreground.
+            let log = run(
+                vec![
+                    Tagged(62_500, false), // starts now
+                    Tagged(125_000, true), // queued bg
+                    Tagged(62_500, false), // queued fg
+                ],
+                threads,
+            );
             assert_eq!(log.len(), 3);
             // The queued foreground packet overtakes the queued background
             // blob: arrival order fg, fg, bg.
@@ -1388,12 +705,12 @@ mod tests {
                 !log[0].1 && !log[1].1 && log[2].1,
                 "expected fg,fg,bg got {log:?}"
             );
-        });
+        }
     }
 
     #[test]
     fn half_duplex_serializes_a_nodes_transmissions() {
-        struct Fanout;
+        struct Fanout(Vec<SimTime>);
         impl Protocol for Fanout {
             type Msg = Packet;
             type Ext = ();
@@ -1404,117 +721,76 @@ mod tests {
                 }
             }
             fn on_message(&mut self, ctx: &mut Context<'_, Packet>, _: NodeId, _: Packet) {
-                FANOUT_LOG.with(|l| l.borrow_mut().push((ctx.node(), ctx.now())));
+                self.0.push(ctx.now());
             }
         }
-        thread_local! {
-            static FANOUT_LOG: std::cell::RefCell<Vec<(NodeId, SimTime)>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        let run = |medium: MediumMode| -> Vec<(NodeId, SimTime)> {
-            FANOUT_LOG.with(|l| l.borrow_mut().clear());
+        let run = |medium: MediumMode, threads| -> Vec<SimTime> {
             let topo = Topology::star(3, LinkSpec::mbps1());
-            let mut sim = Simulator::new(topo, vec![Fanout, Fanout, Fanout], 1);
+            let nodes = (0..3).map(|_| Fanout(Vec::new())).collect();
+            let mut sim = ShardedSimulator::new(topo, nodes, 1, threads);
             sim.set_medium(medium);
             sim.run();
-            FANOUT_LOG.with(|l| l.borrow().clone())
+            let mut arrivals: Vec<SimTime> = sim.nodes().flat_map(|n| n.0.clone()).collect();
+            arrivals.sort();
+            arrivals
         };
-        // Full duplex: both transfers run concurrently, arriving together.
-        let full = run(MediumMode::FullDuplex);
-        assert_eq!(full.len(), 2);
-        assert_eq!(full[0].1, SimTime::from_millis(1001));
-        assert_eq!(full[1].1, SimTime::from_millis(1001));
-        // Half duplex: one radio — the second transfer waits a full second.
-        let half = run(MediumMode::HalfDuplexTx);
-        assert_eq!(half.len(), 2);
-        assert_eq!(half[0].1, SimTime::from_millis(1001));
-        assert_eq!(half[1].1, SimTime::from_millis(2001));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn trace_records_transmissions() {
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
-        sim.enable_trace(16);
-        sim.run();
-        let trace = sim.take_trace();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].from, NodeId(0));
-        assert_eq!(trace[0].to, NodeId(1));
-        assert_eq!(trace[0].bytes, 125_000);
-        assert_eq!(trace[0].kind, "packet");
-        assert!(!trace[0].background);
-        // Taking the trace clears it.
-        assert!(sim.take_trace().is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn trace_respects_cap() {
-        struct Burst2;
-        impl Protocol for Burst2 {
-            type Msg = Packet;
-            type Ext = ();
-            fn on_start(&mut self, ctx: &mut Context<'_, Packet>) {
-                if ctx.node() == NodeId(0) {
-                    for _ in 0..10 {
-                        ctx.send(NodeId(1), Packet(10));
-                    }
-                }
-            }
-            fn on_message(&mut self, _: &mut Context<'_, Packet>, _: NodeId, _: Packet) {}
+        for threads in THREADS {
+            // Full duplex: both transfers run concurrently, arriving together.
+            let full = run(MediumMode::FullDuplex, threads);
+            assert_eq!(full.len(), 2);
+            assert_eq!(full[0], SimTime::from_millis(1001));
+            assert_eq!(full[1], SimTime::from_millis(1001));
+            // Half duplex: one radio — the second transfer waits a full second.
+            let half = run(MediumMode::HalfDuplexTx, threads);
+            assert_eq!(half.len(), 2);
+            assert_eq!(half[0], SimTime::from_millis(1001));
+            assert_eq!(half[1], SimTime::from_millis(2001));
         }
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Burst2, Burst2], 1);
-        sim.enable_trace(3);
-        sim.run();
-        assert_eq!(sim.take_trace().len(), 3);
     }
 
     #[test]
     fn sink_records_link_layer_lifecycle() {
         use dde_obs::{MemorySink, SharedSink};
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
-        let shared = SharedSink::new(MemorySink::new());
-        sim.set_sink(Box::new(shared.clone()));
-        sim.run();
-        let records = shared.with(|s| s.take());
-        let kinds: Vec<&'static str> = records.iter().map(|r| r.kind.kind_name()).collect();
-        // One transmission at t=0, delivered after tx + latency.
-        assert_eq!(kinds, vec!["transmit", "deliver"]);
-        assert_eq!(records[0].node, 0);
-        assert_eq!(records[1].node, 1);
-        assert_eq!(records[1].at, SimTime::from_millis(1001));
+        for threads in THREADS {
+            let topo = Topology::line(2, LinkSpec::mbps1());
+            let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, threads);
+            let shared = SharedSink::new(MemorySink::new());
+            sim.set_sink(Box::new(shared.clone()));
+            sim.run();
+            let records = shared.with(|s| s.take());
+            let kinds: Vec<&'static str> = records.iter().map(|r| r.kind.kind_name()).collect();
+            // One transmission at t=0, delivered after tx + latency.
+            assert_eq!(kinds, vec!["transmit", "deliver"]);
+            assert_eq!(records[0].node, 0);
+            assert_eq!(records[1].node, 1);
+            assert_eq!(records[1].at, SimTime::from_millis(1001));
+        }
     }
 
     #[test]
     fn sink_records_fault_lifecycle() {
         use dde_obs::{MemorySink, SharedSink};
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
-        let mut faults = FaultSchedule::new();
-        faults.crash_at(SimTime::from_millis(500), NodeId(1));
-        faults.recover_at(SimTime::from_secs(5), NodeId(1));
-        sim.install_faults(&faults);
-        let shared = SharedSink::new(MemorySink::new());
-        sim.set_sink(Box::new(shared.clone()));
-        sim.run();
-        let kinds: Vec<&'static str> =
-            shared.with(|s| s.events().iter().map(|r| r.kind.kind_name()).collect());
-        // transmit at t=0, crash at 0.5s, arrival dropped at 1.001s,
-        // recovery at 5s.
-        assert_eq!(kinds, vec!["transmit", "fault", "drop", "fault"]);
+        for threads in THREADS {
+            let topo = Topology::line(2, LinkSpec::mbps1());
+            let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, threads);
+            let mut faults = FaultSchedule::new();
+            faults.crash_at(SimTime::from_millis(500), NodeId(1));
+            faults.recover_at(SimTime::from_secs(5), NodeId(1));
+            sim.install_faults(&faults);
+            let shared = SharedSink::new(MemorySink::new());
+            sim.set_sink(Box::new(shared.clone()));
+            sim.run();
+            let kinds: Vec<&'static str> =
+                shared.with(|s| s.events().iter().map(|r| r.kind.kind_name()).collect());
+            // transmit at t=0, crash at 0.5s, arrival dropped at 1.001s,
+            // recovery at 5s.
+            assert_eq!(kinds, vec!["transmit", "fault", "drop", "fault"]);
+        }
     }
 
     #[test]
     fn message_conservation_after_drain() {
         // After the queue drains: sent = delivered + lost + dropped.
-        let mut topo = Topology::new(3);
-        topo.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1().loss(0.4));
-        topo.add_link(NodeId(1), NodeId(2), LinkSpec::mbps1());
-        topo.rebuild_routes();
         struct Chatter;
         impl Protocol for Chatter {
             type Msg = Packet;
@@ -1530,34 +806,43 @@ mod tests {
             }
             fn on_message(&mut self, _: &mut Context<'_, Packet>, _: NodeId, _: Packet) {}
         }
-        let mut sim = Simulator::new(topo, vec![Chatter, Chatter, Chatter], 11);
-        sim.set_node_up(NodeId(2), false);
-        sim.run();
-        let m = sim.metrics();
-        assert_eq!(
-            m.messages_sent,
-            m.messages_delivered + m.messages_lost + m.messages_dropped,
-            "conservation: {m:?}"
-        );
+        for threads in THREADS {
+            let mut topo = Topology::new(3);
+            topo.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1().loss(0.4));
+            topo.add_link(NodeId(1), NodeId(2), LinkSpec::mbps1());
+            topo.rebuild_routes();
+            let mut sim = ShardedSimulator::new(topo, vec![Chatter, Chatter, Chatter], 11, threads);
+            sim.install_faults(&down_from_start(NodeId(2)));
+            sim.run();
+            let m = sim.metrics();
+            assert!(m.messages_dropped > 0, "traffic to the down node: {m:?}");
+            assert_eq!(
+                m.messages_sent,
+                m.messages_delivered + m.messages_lost + m.messages_dropped,
+                "conservation: {m:?}"
+            );
+        }
     }
 
     #[test]
     fn into_nodes_returns_state() {
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
-        sim.run();
-        let nodes = sim.into_nodes();
-        assert_eq!(nodes.len(), 2);
-        assert_eq!(nodes[1].received_at.len(), 1);
+        for threads in THREADS {
+            let topo = Topology::line(2, LinkSpec::mbps1());
+            let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, threads);
+            sim.run();
+            let nodes = sim.into_nodes();
+            assert_eq!(nodes.len(), 2);
+            assert_eq!(nodes[1].received_at.len(), 1);
+        }
     }
 
     #[test]
     fn empty_fault_schedule_is_a_strict_noop() {
-        let run = |install: bool| {
+        let run = |install: bool, threads| {
             let mut topo = Topology::new(2);
             topo.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1().loss(0.3));
             topo.rebuild_routes();
-            let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 9);
+            let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 9, threads);
             if install {
                 sim.install_faults(&FaultSchedule::new());
             }
@@ -1569,24 +854,28 @@ mod tests {
                 sim.events_processed(),
             )
         };
-        assert_eq!(run(true), run(false));
+        for threads in THREADS {
+            assert_eq!(run(true, threads), run(false, threads));
+        }
     }
 
     #[test]
     fn crashed_node_drops_deliveries_and_attributes_fault() {
         // Node 0 starts a 1 s transfer at t=0; node 1 crashes at t=0.5 s,
         // so the message (arriving at 1.001 s) is dropped as a fault.
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false)], 1);
-        let mut faults = FaultSchedule::new();
-        faults.crash_at(SimTime::from_millis(500), NodeId(1));
-        sim.install_faults(&faults);
-        sim.run();
-        assert_eq!(sim.node(NodeId(1)).received_at.len(), 0);
-        assert_eq!(sim.metrics().messages_dropped, 1);
-        assert_eq!(sim.metrics().messages_dropped_by_fault, 1);
-        // Bandwidth was still consumed: the tail had already radiated.
-        assert_eq!(sim.metrics().bytes_sent, 125_000);
+        for threads in THREADS {
+            let topo = Topology::line(2, LinkSpec::mbps1());
+            let mut sim = ShardedSimulator::new(topo, vec![echo(true), echo(false)], 1, threads);
+            let mut faults = FaultSchedule::new();
+            faults.crash_at(SimTime::from_millis(500), NodeId(1));
+            sim.install_faults(&faults);
+            sim.run();
+            assert_eq!(sim.node(NodeId(1)).received_at.len(), 0);
+            assert_eq!(sim.metrics().messages_dropped, 1);
+            assert_eq!(sim.metrics().messages_dropped_by_fault, 1);
+            // Bandwidth was still consumed: the tail had already radiated.
+            assert_eq!(sim.metrics().bytes_sent, 125_000);
+        }
     }
 
     #[test]
@@ -1608,65 +897,73 @@ mod tests {
                 ctx.send(NodeId(1), ext);
             }
         }
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Burst3, Burst3], 1);
-        let mut faults = FaultSchedule::new();
-        // Sender crashes mid-first-transmission, recovers later.
-        faults.crash_at(SimTime::from_millis(500), NodeId(0));
-        faults.recover_at(SimTime::from_secs(10), NodeId(0));
-        sim.install_faults(&faults);
-        // After recovery, an external triggers one more send — it flows.
-        sim.schedule_external(SimTime::from_secs(11), NodeId(0), Packet(1000));
-        sim.run();
-        let m = sim.metrics();
-        assert_eq!(m.messages_purged_by_fault, 3, "queued packets purged");
-        // In-flight packet + post-recovery packet were sent and delivered.
-        assert_eq!(m.messages_sent, 2);
-        assert_eq!(m.messages_delivered, 2);
-        assert_eq!(
-            m.messages_sent,
-            m.messages_delivered + m.messages_lost + m.messages_dropped
-        );
+        for threads in THREADS {
+            let topo = Topology::line(2, LinkSpec::mbps1());
+            let mut sim = ShardedSimulator::new(topo, vec![Burst3, Burst3], 1, threads);
+            let mut faults = FaultSchedule::new();
+            // Sender crashes mid-first-transmission, recovers later.
+            faults.crash_at(SimTime::from_millis(500), NodeId(0));
+            faults.recover_at(SimTime::from_secs(10), NodeId(0));
+            sim.install_faults(&faults);
+            // After recovery, an external triggers one more send — it flows.
+            sim.schedule_external(SimTime::from_secs(11), NodeId(0), Packet(1000));
+            sim.run();
+            let m = sim.metrics();
+            assert_eq!(m.messages_purged_by_fault, 3, "queued packets purged");
+            // In-flight packet + post-recovery packet were sent and delivered.
+            assert_eq!(m.messages_sent, 2);
+            assert_eq!(m.messages_delivered, 2);
+            assert_eq!(
+                m.messages_sent,
+                m.messages_delivered + m.messages_lost + m.messages_dropped
+            );
+        }
     }
 
     #[test]
     fn link_down_purges_reroutes_and_drops_in_flight() {
         // Triangle: 0-1 direct plus 0-2-1 detour. Kill 0-1 mid-flight.
-        let mut topo = Topology::new(3);
-        topo.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1());
-        topo.add_link(NodeId(0), NodeId(2), LinkSpec::mbps1());
-        topo.add_link(NodeId(2), NodeId(1), LinkSpec::mbps1());
-        topo.rebuild_routes();
-        let mut sim = Simulator::new(topo, vec![echo(true), echo(false), echo(false)], 1);
-        let mut faults = FaultSchedule::new();
-        faults.link_down_at(SimTime::from_millis(500), NodeId(0), NodeId(1));
-        sim.install_faults(&faults);
-        sim.run();
-        // The in-flight packet (arrival 1.001 s) died with the link.
-        assert_eq!(sim.node(NodeId(1)).received_at.len(), 0);
-        assert_eq!(sim.metrics().messages_dropped_by_fault, 1);
-        // Routing now detours through node 2.
-        assert_eq!(
-            sim.topology().next_hop(NodeId(0), NodeId(1)),
-            Some(NodeId(2))
-        );
+        for threads in THREADS {
+            let mut topo = Topology::new(3);
+            topo.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1());
+            topo.add_link(NodeId(0), NodeId(2), LinkSpec::mbps1());
+            topo.add_link(NodeId(2), NodeId(1), LinkSpec::mbps1());
+            topo.rebuild_routes();
+            let nodes = vec![echo(true), echo(false), echo(false)];
+            let mut sim = ShardedSimulator::new(topo, nodes, 1, threads);
+            let mut faults = FaultSchedule::new();
+            faults.link_down_at(SimTime::from_millis(500), NodeId(0), NodeId(1));
+            sim.install_faults(&faults);
+            sim.run();
+            // The in-flight packet (arrival 1.001 s) died with the link.
+            assert_eq!(sim.node(NodeId(1)).received_at.len(), 0);
+            assert_eq!(sim.metrics().messages_dropped_by_fault, 1);
+            // Routing now detours through node 2.
+            assert_eq!(
+                sim.topology().next_hop(NodeId(0), NodeId(1)),
+                Some(NodeId(2))
+            );
+        }
     }
 
     #[test]
     fn link_up_restores_routes() {
-        let topo = Topology::line(3, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![echo(false), echo(false), echo(false)], 1);
-        let mut faults = FaultSchedule::new();
-        faults.link_down_at(SimTime::from_secs(1), NodeId(1), NodeId(2));
-        faults.link_up_at(SimTime::from_secs(2), NodeId(1), NodeId(2));
-        sim.install_faults(&faults);
-        sim.run_until(SimTime::from_millis(1500));
-        assert_eq!(sim.topology().next_hop(NodeId(0), NodeId(2)), None);
-        sim.run_until(SimTime::from_secs(3));
-        assert_eq!(
-            sim.topology().next_hop(NodeId(0), NodeId(2)),
-            Some(NodeId(1))
-        );
+        for threads in THREADS {
+            let topo = Topology::line(3, LinkSpec::mbps1());
+            let nodes = vec![echo(false), echo(false), echo(false)];
+            let mut sim = ShardedSimulator::new(topo, nodes, 1, threads);
+            let mut faults = FaultSchedule::new();
+            faults.link_down_at(SimTime::from_secs(1), NodeId(1), NodeId(2));
+            faults.link_up_at(SimTime::from_secs(2), NodeId(1), NodeId(2));
+            sim.install_faults(&faults);
+            sim.run_until(SimTime::from_millis(1500));
+            assert_eq!(sim.topology().next_hop(NodeId(0), NodeId(2)), None);
+            sim.run_until(SimTime::from_secs(3));
+            assert_eq!(
+                sim.topology().next_hop(NodeId(0), NodeId(2)),
+                Some(NodeId(1))
+            );
+        }
     }
 
     #[test]
@@ -1682,14 +979,16 @@ mod tests {
                 ctx.send(NodeId(1), Packet(10));
             }
         }
-        let topo = Topology::line(2, LinkSpec::mbps1());
-        let mut sim = Simulator::new(topo, vec![Recover(0), Recover(0)], 1);
-        let mut faults = FaultSchedule::new();
-        faults.crash_at(SimTime::from_secs(1), NodeId(0));
-        faults.recover_at(SimTime::from_secs(2), NodeId(0));
-        sim.install_faults(&faults);
-        sim.run();
-        assert_eq!(sim.node(NodeId(0)).0, 1);
-        assert_eq!(sim.metrics().messages_delivered, 1);
+        for threads in THREADS {
+            let topo = Topology::line(2, LinkSpec::mbps1());
+            let mut sim = ShardedSimulator::new(topo, vec![Recover(0), Recover(0)], 1, threads);
+            let mut faults = FaultSchedule::new();
+            faults.crash_at(SimTime::from_secs(1), NodeId(0));
+            faults.recover_at(SimTime::from_secs(2), NodeId(0));
+            sim.install_faults(&faults);
+            sim.run();
+            assert_eq!(sim.node(NodeId(0)).0, 1);
+            assert_eq!(sim.metrics().messages_delivered, 1);
+        }
     }
 }

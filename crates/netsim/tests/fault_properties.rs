@@ -5,7 +5,8 @@
 
 use dde_netsim::fault::{FaultEvent, FaultSchedule};
 use dde_netsim::prelude::{SimDuration, SimTime};
-use dde_netsim::sim::{Context, Protocol, Simulator, WireMessage};
+use dde_netsim::shard::ShardedSimulator;
+use dde_netsim::sim::{Context, Protocol, WireMessage};
 use dde_netsim::topology::{LinkSpec, NodeId, Topology};
 use proptest::prelude::*;
 
@@ -95,21 +96,25 @@ proptest! {
     #[test]
     fn schedules_terminate_and_conserve_messages(raw in raw_faults()) {
         let schedule = schedule_from(&raw);
-        let nodes = (0..N).map(|_| Chatter).collect();
-        let mut sim = Simulator::new(Topology::ring(N, LinkSpec::mbps1()), nodes, 42);
-        sim.install_faults(&schedule);
-        sim.run_until(SimTime::from_millis(HORIZON_MS * 2));
-        let m = sim.metrics();
-        prop_assert_eq!(
-            m.messages_sent,
-            m.messages_delivered + m.messages_lost + m.messages_dropped,
-            "conservation broke: {:?}",
-            m
-        );
-        prop_assert!(m.messages_dropped_by_fault <= m.messages_dropped);
-        if schedule.is_empty() {
-            prop_assert_eq!(m.messages_dropped_by_fault, 0);
-            prop_assert_eq!(m.messages_purged_by_fault, 0);
+        for threads in [1, 2] {
+            let nodes = (0..N).map(|_| Chatter).collect();
+            let topo = Topology::ring(N, LinkSpec::mbps1());
+            let mut sim = ShardedSimulator::new(topo, nodes, 42, threads);
+            sim.install_faults(&schedule);
+            sim.run_until(SimTime::from_millis(HORIZON_MS * 2));
+            let m = sim.metrics();
+            prop_assert_eq!(
+                m.messages_sent,
+                m.messages_delivered + m.messages_lost + m.messages_dropped,
+                "conservation broke at {} threads: {:?}",
+                threads,
+                m
+            );
+            prop_assert!(m.messages_dropped_by_fault <= m.messages_dropped);
+            if schedule.is_empty() {
+                prop_assert_eq!(m.messages_dropped_by_fault, 0);
+                prop_assert_eq!(m.messages_purged_by_fault, 0);
+            }
         }
     }
 

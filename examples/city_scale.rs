@@ -62,7 +62,9 @@ fn main() {
     for &t in &threads {
         // lint: allow(nondeterminism) — wall-clock throughput only; simulated time is seeded
         let started = Instant::now();
-        let r = run_scenario_sharded(&scenario, RunOptions::new(strategy), t);
+        let mut options = RunOptions::new(strategy);
+        options.threads = t;
+        let r = run_scenario(&scenario, options);
         let wall = started.elapsed().as_secs_f64();
         println!(
             "{t:>7}  {:>12}  {wall:>12.3}  {:>8.0}",

@@ -19,7 +19,7 @@ use dde_core::prelude::*;
 use dde_core::query::QueryStatus;
 use dde_logic::dnf::{Dnf, Term};
 use dde_logic::time::{SimDuration, SimTime};
-use dde_netsim::sim::Simulator;
+use dde_netsim::shard::ShardedSimulator;
 use dde_workload::prelude::*;
 use dde_workload::workflow::{DecisionTemplate, Doctrine};
 use rand::rngs::SmallRng;
@@ -96,7 +96,7 @@ fn replay(
     let nodes: Vec<AthenaNode> = (0..scenario.topology.len())
         .map(|_| AthenaNode::new(Arc::clone(&shared), Arc::new(GroundTruthAnnotator)))
         .collect();
-    let mut sim = Simulator::new(scenario.topology.clone(), nodes, 17);
+    let mut sim = ShardedSimulator::new(scenario.topology.clone(), nodes, 17, 1);
 
     let mut qid = 0u64;
     let mut horizon = SimTime::ZERO;

@@ -30,7 +30,7 @@ fn options(seed: u64, adaptive: AdaptiveConfig) -> RunOptions {
 fn sharded_trace(scenario: &Scenario, options: RunOptions, threads: usize) -> (String, RunReport) {
     let sink = SharedSink::new(JsonlSink::new(Vec::new()));
     let handle = sink.clone();
-    let report = run_scenario_sharded_observed(scenario, options, threads, Box::new(sink));
+    let report = run_scenario_observed(scenario, RunOptions { threads, ..options }, Box::new(sink));
     let trace = String::from_utf8(handle.with(|j| j.get_ref().clone())).expect("trace is UTF-8");
     (trace, report)
 }
@@ -93,8 +93,7 @@ fn admission_gated_run_is_thread_count_invariant_on_the_overload_band() {
     // transmitter per node); it is also the harder scheduling case for
     // the sharded engine, so it is the band worth pinning.
     opts.medium = dde_netsim::MediumMode::HalfDuplexTx;
-    let report =
-        run_scenario_sharded_observed(&scenario, opts.clone(), 1, Box::new(dde_obs::NullSink));
+    let report = run_scenario_observed(&scenario, opts.clone(), Box::new(dde_obs::NullSink));
     assert!(
         report.admission_shed + report.admission_deferred > 0,
         "overload band should engage the admission gate"
@@ -104,11 +103,11 @@ fn admission_gated_run_is_thread_count_invariant_on_the_overload_band() {
 
 #[test]
 fn classic_and_sharded_adaptive_runs_agree() {
-    // The single-threaded engine and the sharded engine must tell the
-    // same story for an adaptive run: equal `RunReport`s, including the
-    // estimator-driven plan outcomes and every admission counter. (Trace
-    // *bytes* are compared across thread counts above, not across
-    // engines — the sharded engine merge-orders its stream.)
+    // The sequential run (one region, inline: the default) and every
+    // multi-threaded run must tell the same story for an unobserved
+    // adaptive run: equal `RunReport`s, including the estimator-driven
+    // plan outcomes and every admission counter. (Observed traces are
+    // compared byte for byte above.)
     let seed = 19;
     let scenario = Scenario::build(
         ScenarioConfig::small()
@@ -118,8 +117,15 @@ fn classic_and_sharded_adaptive_runs_agree() {
     );
     let opts = options(seed, AdaptiveConfig::default());
     let classic = run_scenario(&scenario, opts.clone());
+    assert_eq!(opts.threads, 1, "the default is the sequential run");
     for threads in THREADS {
-        let sharded = run_scenario_sharded(&scenario, opts.clone(), threads);
+        let sharded = run_scenario(
+            &scenario,
+            RunOptions {
+                threads,
+                ..opts.clone()
+            },
+        );
         assert_eq!(classic, sharded, "reports differ at {threads} threads");
     }
 }

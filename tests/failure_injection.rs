@@ -96,8 +96,9 @@ fn dead_source_node_causes_misses_not_hangs() {
 #[test]
 fn lying_annotator_destroys_accuracy_but_not_liveness() {
     let s = scenario(4);
-    let r =
-        run_scenario_with_annotator(&s, RunOptions::new(Strategy::Lvf), Arc::new(LyingAnnotator));
+    let mut opts = RunOptions::new(Strategy::Lvf);
+    opts.annotator = Arc::new(LyingAnnotator);
+    let r = run_scenario(&s, opts);
     assert_eq!(r.resolved + r.missed, r.total_queries);
     assert!(r.resolved > 0);
     // With inverted labels, decisions are mostly wrong.
@@ -112,11 +113,9 @@ fn lying_annotator_destroys_accuracy_but_not_liveness() {
 fn noisy_annotator_degrades_accuracy_smoothly() {
     let s = scenario(5);
     let clean = run_scenario(&s, RunOptions::new(Strategy::Lvf));
-    let noisy = run_scenario_with_annotator(
-        &s,
-        RunOptions::new(Strategy::Lvf),
-        Arc::new(NoisyAnnotator::new(1, 0.2)),
-    );
+    let mut opts = RunOptions::new(Strategy::Lvf);
+    opts.annotator = Arc::new(NoisyAnnotator::new(1, 0.2));
+    let noisy = run_scenario(&s, opts);
     assert_eq!(clean.accuracy(), 1.0);
     assert!(noisy.accuracy() < 1.0, "20% flips should cause some errors");
     assert!(

@@ -132,8 +132,8 @@ fn sharded_observed_run(seed: u64, threads: usize, faults: FaultSchedule) -> (Ru
     let mut options = RunOptions::new(Strategy::LvfLabelShare);
     options.seed = seed ^ 0x5eed;
     options.faults = faults;
-    let report =
-        run_scenario_sharded_observed(&scenario(seed, 0.4), options, threads, Box::new(sink));
+    options.threads = threads;
+    let report = run_scenario_observed(&scenario(seed, 0.4), options, Box::new(sink));
     let trace = String::from_utf8(handle.with(|j| j.get_ref().clone())).expect("trace is UTF-8");
     (report, trace)
 }

@@ -35,12 +35,11 @@ fn sharded_trace(
 ) -> (String, RunReport) {
     let sink = SharedSink::new(JsonlSink::new(Vec::new()));
     let handle = sink.clone();
-    let report = run_scenario_sharded_observed(
-        scenario,
-        options(seed, faults.clone()),
+    let options = RunOptions {
         threads,
-        Box::new(sink),
-    );
+        ..options(seed, faults.clone())
+    };
+    let report = run_scenario_observed(scenario, options, Box::new(sink));
     let trace = String::from_utf8(handle.with(|j| j.get_ref().clone())).expect("trace is UTF-8");
     (trace, report)
 }
@@ -129,7 +128,7 @@ fn single_thread_sharded_report_matches_every_strategy_shape() {
     // internally consistent report (every query accounted for).
     let seed = 23;
     let scenario = Scenario::build(ScenarioConfig::small().with_seed(seed).with_fast_ratio(0.4));
-    let report = run_scenario_sharded(&scenario, options(seed, FaultSchedule::new()), 1);
+    let report = run_scenario(&scenario, options(seed, FaultSchedule::new()));
     assert_eq!(report.total_queries, scenario.queries.len());
     assert_eq!(
         report.resolved + report.missed,
