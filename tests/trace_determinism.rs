@@ -6,10 +6,20 @@
 //! must report zero divergence on them, and attaching a sink must not
 //! perturb the simulation itself (the null-sink report equals the
 //! observed-run report).
+//!
+//! The `pinned_*` cases go one step further and hold the trace bytes of
+//! five configurations to FNV-1a-64 digests recorded in this file. Between
+//! them they reach every Athena protocol step (issue, relay, admission
+//! defer/shed/ripen, crash recovery, prefetch and anticipation, local
+//! sampling, approximate substitution, corroboration), so a refactor of
+//! the node protocol that reorders a single trace record fails here. A
+//! deliberate behaviour change re-pins the digest in the same commit.
 
 use dde_core::prelude::*;
 use dde_core::Strategy;
+use dde_logic::time::SimDuration;
 use dde_obs::{diff_jsonl, EventKind, JsonlSink, MemorySink, SharedSink};
+use dde_sched::adaptive::{AdaptiveConfig, AdmissionPolicy};
 use dde_workload::scenario::{Scenario, ScenarioConfig};
 use proptest::prelude::*;
 
@@ -23,13 +33,133 @@ fn options(seed: u64) -> RunOptions {
     options
 }
 
-/// Runs the scenario with a JSONL sink into memory and returns the bytes.
-fn jsonl_trace(seed: u64) -> Vec<u8> {
-    let scenario = small_scenario(seed);
+/// Runs `scenario` with a JSONL sink into memory and returns the trace
+/// bytes plus the report.
+fn observed_trace(scenario: &Scenario, options: RunOptions) -> (Vec<u8>, RunReport) {
     let sink = SharedSink::new(JsonlSink::new(Vec::new()));
     let handle = sink.clone();
-    let _ = run_scenario_observed(&scenario, options(seed), Box::new(sink));
-    handle.with(|j| j.get_ref().clone())
+    let report = run_scenario_observed(scenario, options, Box::new(sink));
+    (handle.with(|j| j.get_ref().clone()), report)
+}
+
+/// Runs the small scenario with a JSONL sink into memory and returns the
+/// bytes.
+fn jsonl_trace(seed: u64) -> Vec<u8> {
+    observed_trace(&small_scenario(seed), options(seed)).0
+}
+
+/// FNV-1a, 64-bit: a dependency-free digest for pinning trace bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn assert_pinned(case: &str, trace: &[u8], pinned: u64) {
+    let digest = fnv1a64(trace);
+    assert_eq!(
+        digest,
+        pinned,
+        "{case}: trace digest {digest:#018x} (pinned {pinned:#018x}, {} bytes)",
+        trace.len()
+    );
+}
+
+#[test]
+fn fnv1a64_matches_reference_vectors() {
+    assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+}
+
+#[test]
+fn pinned_lvfl_small_trace() {
+    // Issue, relay, fetch, label sharing and co-located sampling.
+    let seed = 7;
+    let (trace, report) = observed_trace(&small_scenario(seed), options(seed));
+    assert!(report.local_samples > 0, "no local sample ran");
+    assert_pinned("lvfl small", &trace, 0xcf16_8802_809d_ec12);
+}
+
+#[test]
+fn pinned_churn_trace() {
+    // Crash recovery wipes volatile state and re-announces open queries.
+    let seed = 13;
+    let scenario = Scenario::build(
+        ScenarioConfig::small()
+            .with_seed(seed)
+            .with_fast_ratio(0.4)
+            .with_churn(0.5),
+    );
+    let (trace, report) = observed_trace(&scenario, options(seed));
+    assert!(report.fault_events > 0, "no fault fired");
+    assert_pinned("churn", &trace, 0x3ef1_8b35_8536_c6d1);
+}
+
+#[test]
+fn pinned_overload_admission_trace() {
+    // The admission gate defers, sheds, and admits deferred queries once
+    // their re-evaluation time ripens.
+    let seed = 11;
+    let scenario = Scenario::build(ScenarioConfig::overload().with_seed(seed));
+    let mut opts = RunOptions::new(Strategy::Lvf);
+    opts.seed = seed ^ 0xada;
+    opts.adaptive = Some(AdaptiveConfig {
+        admission: Some(AdmissionPolicy::default()),
+        ..AdaptiveConfig::default()
+    });
+    opts.medium = dde_netsim::MediumMode::HalfDuplexTx;
+    let (trace, report) = observed_trace(&scenario, opts);
+    assert!(report.admission_deferred > 0, "no query was deferred");
+    assert!(report.admission_shed > 0, "no query was shed");
+    let text = std::str::from_utf8(&trace).expect("trace is UTF-8");
+    let mut deferred = std::collections::BTreeSet::new();
+    let mut ripened = 0;
+    for line in text.lines().filter(|l| l.contains(r#""kind":"admission""#)) {
+        let query = line
+            .split(r#""query":"#)
+            .nth(1)
+            .and_then(|r| r.split(',').next());
+        if line.contains(r#""verdict":"defer""#) {
+            deferred.insert(query);
+        } else if line.contains(r#""verdict":"admit""#) && deferred.contains(&query) {
+            ripened += 1;
+        }
+    }
+    assert!(ripened > 0, "no deferred query was admitted later");
+    assert_pinned("overload admission", &trace, 0xacaf_74cc_ae65_55d9);
+}
+
+#[test]
+fn pinned_prefetch_anticipation_trace() {
+    // Announce-only floods ahead of issue, relayed announces queue source
+    // pushes, and pushes travel toward the origin.
+    let seed = 21;
+    let mut cfg = ScenarioConfig::small().with_seed(seed).with_fast_ratio(0.2);
+    cfg.issue_offset = SimDuration::from_secs(60);
+    let mut opts = options(seed);
+    opts.prefetch = Some(true);
+    opts.announce_lead = Some(SimDuration::from_secs(45));
+    let (trace, report) = observed_trace(&Scenario::build(cfg), opts);
+    assert!(report.prefetch_pushes > 0, "no prefetch push ran");
+    assert_pinned("prefetch anticipation", &trace, 0xdc53_ad11_92bd_1316);
+}
+
+#[test]
+fn pinned_approx_corroboration_trace() {
+    // Approximate substitution serves same-segment views; corroboration
+    // holds votes until two distinct sources agree. The redundancy-heavy
+    // cmp strategy is where requesters disagree about providers, so it is
+    // the one that hits sibling views on the small band.
+    let seed = 2;
+    let scenario = Scenario::build(ScenarioConfig::small().with_seed(seed).with_fast_ratio(0.2));
+    let mut opts = RunOptions::new(Strategy::Comprehensive);
+    opts.seed = seed ^ 0x5eed;
+    opts.approx_min_shared = Some(3);
+    opts.corroboration = 2;
+    let (trace, report) = observed_trace(&scenario, opts);
+    assert!(report.approx_hits > 0, "no approximate substitute served");
+    assert_pinned("approx corroboration", &trace, 0xc3ba_b006_7e01_caae);
 }
 
 #[test]
