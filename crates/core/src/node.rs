@@ -20,6 +20,7 @@ use crate::msg::{AthenaMsg, QueryId, RequestKind};
 use crate::object::EvidenceObject;
 use crate::query::{Outstanding, QueryOutcome, QueryState, QueryStatus};
 use crate::strategy::{Priors, Strategy};
+use dde_logic::dnf::Dnf;
 use dde_logic::label::Label;
 use dde_logic::meta::{ConditionMeta, Cost, MetaTable, Probability};
 use dde_logic::time::{SimDuration, SimTime};
@@ -30,9 +31,7 @@ use dde_naming::store::ContentStore;
 use dde_netsim::sim::{Context, Protocol};
 use dde_netsim::topology::{NodeId, Topology};
 use dde_obs::EventKind;
-use dde_sched::adaptive::{
-    prefix_of, AdaptiveConfig, AdaptiveState, AdmissionPolicy, AdmissionVerdict,
-};
+use dde_sched::adaptive::{prefix_of, AdaptiveConfig, AdaptiveState, AdmissionVerdict};
 use dde_sched::explain::{explain_dnf_plan, summarize_dnf_plan};
 use dde_sched::item::Channel;
 use dde_sched::shortcircuit::plan_dnf;
@@ -249,11 +248,10 @@ fn qid_tag(qid: QueryId) -> Option<QueryId> {
     (qid.0 != u64::MAX).then_some(qid)
 }
 
-/// Admission-gate state for one locally issued query (adaptive mode).
+/// Admission-gate state for one locally issued query the gate is holding
+/// back (adaptive mode); admitted queries have no state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum AdmissionState {
-    /// Retrieval proceeds normally.
-    Admitted,
     /// Waiting: the gate re-evaluates once `until` passes.
     Deferred {
         /// When the gate looks again.
@@ -263,13 +261,6 @@ enum AdmissionState {
     },
     /// Never planned; the query runs to its deadline unanswered.
     Shed,
-}
-
-/// The gate's latest predicted cost and ruling for one query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct AdmissionRecord {
-    predicted: u64,
-    state: AdmissionState,
 }
 
 /// One Athena node.
@@ -311,9 +302,9 @@ pub struct AthenaNode {
     /// [`NodeConfig::adaptive`]; updated only at trace-visible events so
     /// observed, unobserved, and sharded runs evolve identically.
     adaptive: Option<AdaptiveState>,
-    /// Admission-gate rulings per local query (adaptive mode only;
-    /// admitted queries without a gate decision are simply absent).
-    admission: BTreeMap<QueryId, AdmissionRecord>,
+    /// Local queries the admission gate is holding back (adaptive mode
+    /// only); absence means admitted.
+    admission: BTreeMap<QueryId, AdmissionState>,
     /// Evidence bytes delivered to this node per local query — the
     /// actual-cost signal the load estimator folds at decision time.
     ingress_bytes: BTreeMap<QueryId, u64>,
@@ -423,11 +414,7 @@ impl AthenaNode {
     /// in bytes (§III-A), so the cost ledger can report predicted vs
     /// actual. Only called when the trace sink is enabled — this allocates
     /// freely.
-    fn plan_rationale(
-        &self,
-        expr: &dde_logic::dnf::Dnf,
-        ctx: &Context<'_, AthenaMsg>,
-    ) -> (String, u64) {
+    fn plan_rationale(&self, expr: &Dnf, ctx: &Context<'_, AthenaMsg>) -> (String, u64) {
         let meta = self.plan_meta(expr, ctx.node(), ctx.topology());
         let plan = plan_dnf(expr, &meta);
         let predicted = summarize_dnf_plan(&plan).expected_bytes_rounded();
@@ -439,7 +426,7 @@ impl AthenaNode {
     /// validity, and the short-circuit probability — learned per
     /// (name-prefix, condition) when adaptive planning is on, the run's
     /// static prior otherwise.
-    fn plan_meta(&self, expr: &dde_logic::dnf::Dnf, me: NodeId, topology: &Topology) -> MetaTable {
+    fn plan_meta(&self, expr: &Dnf, me: NodeId, topology: &Topology) -> MetaTable {
         expr.labels()
             .into_iter()
             .map(|l| {
@@ -479,12 +466,7 @@ impl AthenaNode {
     /// [`AthenaNode::plan_rationale`] this must also run on unobserved
     /// runs — admission decisions cannot depend on whether a sink is
     /// attached.
-    fn predicted_plan_bytes(
-        &self,
-        expr: &dde_logic::dnf::Dnf,
-        me: NodeId,
-        topology: &Topology,
-    ) -> u64 {
+    fn predicted_plan_bytes(&self, expr: &Dnf, me: NodeId, topology: &Topology) -> u64 {
         let meta = self.plan_meta(expr, me, topology);
         summarize_dnf_plan(&plan_dnf(expr, &meta)).expected_bytes_rounded()
     }
@@ -561,6 +543,34 @@ impl AthenaNode {
             .unwrap_or(spec.validity);
         obj.validity = effective.min(spec.validity);
         obj
+    }
+
+    /// Samples catalog object `idx` (this node is its source), stores the
+    /// sample in the content store, and traces the store on behalf of
+    /// `query`.
+    fn sample_and_store(
+        &mut self,
+        ctx: &mut Context<'_, AthenaMsg>,
+        idx: usize,
+        query: Option<u64>,
+    ) -> EvidenceObject {
+        let object = self.sample_object(idx, ctx.now());
+        self.content.insert(
+            &object.name,
+            object.clone(),
+            object.size,
+            object.sampled_at,
+            object.validity,
+        );
+        if ctx.obs_enabled() {
+            ctx.emit(EventKind::CacheStore {
+                name: object.name.to_string(),
+                bytes: object.size,
+                validity_us: object.validity.as_micros(),
+                query,
+            });
+        }
+        object
     }
 
     /// Annotates `object` against every *local pending* query that
@@ -981,27 +991,14 @@ impl AthenaNode {
                 }
                 // 3. We are the source: sample locally, free of charge.
                 if spec.source == me {
-                    let object = self.sample_object(chosen, now);
-                    self.content.insert(
-                        &object.name.clone(),
-                        object.clone(),
-                        object.size,
-                        object.sampled_at,
-                        object.validity,
-                    );
                     self.stats.local_samples += 1;
                     if ctx.obs_enabled() {
                         ctx.emit(EventKind::LocalSample {
-                            name: object.name.to_string(),
-                            query: Some(qid.0),
-                        });
-                        ctx.emit(EventKind::CacheStore {
-                            name: object.name.to_string(),
-                            bytes: object.size,
-                            validity_us: object.validity.as_micros(),
+                            name: spec.name.to_string(),
                             query: Some(qid.0),
                         });
                     }
+                    let object = self.sample_and_store(ctx, chosen, Some(qid.0));
                     let q = self.queries.get_mut(&qid).expect("query exists"); // lint: allow(panic) — qid drawn from queries.keys(); local queries are never removed
                     q.counters.labels_from_local += 1;
                     self.annotate_object(ctx, &object);
@@ -1080,28 +1077,22 @@ impl AthenaNode {
 
     /// Re-evaluates the admission gate for `qid` inside the retrieval
     /// loop. Returns `false` while the query is shed or still deferred; a
-    /// deferral that ripens re-faces the gate with *fresh* estimates, and
-    /// an admission at that point emits the plan and floods the announce
-    /// that were withheld at issue time.
+    /// deferral that ripens re-faces the gate with *fresh* estimates.
     fn admission_allows(
         &mut self,
         ctx: &mut Context<'_, AthenaMsg>,
         qid: QueryId,
         now: SimTime,
     ) -> bool {
-        let Some(rec) = self.admission.get(&qid).copied() else {
-            return true;
-        };
-        let (until, tries) = match rec.state {
-            AdmissionState::Admitted => return true,
-            AdmissionState::Shed => return false,
-            AdmissionState::Deferred { until, tries } => (until, tries),
-        };
-        if now < until {
-            return false;
-        }
-        let Some(policy) = self.adaptive.as_ref().and_then(|s| s.config.admission) else {
-            return true;
+        let tries = match self.admission.get(&qid) {
+            None => return true,
+            Some(AdmissionState::Shed) => return false,
+            Some(&AdmissionState::Deferred { until, tries }) => {
+                if now < until {
+                    return false;
+                }
+                tries
+            }
         };
         let Some(q) = self.queries.get(&qid) else {
             return true;
@@ -1109,83 +1100,75 @@ impl AthenaNode {
         if q.status.is_final() {
             return false;
         }
+        let (expr, deadline_at) = (q.expr.clone(), q.deadline_at);
+        self.admit(ctx, qid, &expr, deadline_at, tries)
+    }
+
+    /// The admission gate, at issue (`tries == 0`) and when a deferral
+    /// ripens. In adaptive mode with an [`AdmissionPolicy`] it predicts
+    /// the plan's cost, asks the policy, emits `admission`, and records a
+    /// defer or shed; `qid` must not count as active (at issue it is not
+    /// in the query table yet, on re-gate it is deferred). An admitted
+    /// query — every query without a policy — emits its `plan` and floods
+    /// its announce. Returns whether the query was admitted.
+    ///
+    /// [`AdmissionPolicy`]: dde_sched::adaptive::AdmissionPolicy
+    fn admit(
+        &mut self,
+        ctx: &mut Context<'_, AthenaMsg>,
+        qid: QueryId,
+        expr: &Dnf,
+        deadline_at: SimTime,
+        tries: u32,
+    ) -> bool {
+        let now = ctx.now();
         let me = ctx.node();
-        let expr = q.expr.clone();
-        let deadline_at = q.deadline_at;
-        let predicted = self.predicted_plan_bytes(&expr, me, ctx.topology());
-        let active = self.active_admitted();
-        let slack = deadline_at.saturating_since(now);
-        let verdict = match self.adaptive.as_ref() {
-            Some(st) => policy.verdict(predicted, active, &st.load, slack, tries),
-            None => AdmissionVerdict::Admit,
-        };
-        if ctx.obs_enabled() {
-            ctx.emit(EventKind::Admission {
-                query: qid.0,
-                verdict: verdict.name(),
-                predicted_bytes: predicted,
-            });
-        }
-        match verdict {
-            AdmissionVerdict::Admit => {
-                self.admission.insert(
-                    qid,
-                    AdmissionRecord {
-                        predicted,
-                        state: AdmissionState::Admitted,
-                    },
-                );
+        if let Some(st) = self.adaptive.as_ref() {
+            if let Some(policy) = st.config.admission {
+                let predicted = self.predicted_plan_bytes(expr, me, ctx.topology());
+                let active = self.active_admitted();
+                let slack = deadline_at.saturating_since(now);
+                let verdict = policy.verdict(predicted, active, &st.load, slack, tries);
                 if ctx.obs_enabled() {
-                    let (rationale, expected_bytes) = self.plan_rationale(&expr, ctx);
-                    let candidates = self.plans.get(&qid).map(|(c, _)| c.len()).unwrap_or(0);
-                    ctx.emit(EventKind::Plan {
+                    ctx.emit(EventKind::Admission {
                         query: qid.0,
-                        strategy: self.shared.config.strategy.code(),
-                        candidates: candidates as u64,
-                        expected_bytes,
-                        rationale,
+                        verdict: verdict.name(),
+                        predicted_bytes: predicted,
                     });
                 }
-                let neighbors: Vec<NodeId> = ctx.topology().neighbors(me).collect();
-                for nb in neighbors {
-                    ctx.send(
-                        nb,
-                        AthenaMsg::QueryAnnounce {
-                            qid,
-                            origin: me,
-                            expr: expr.clone(),
-                            deadline_at,
-                        },
-                    );
+                match verdict {
+                    AdmissionVerdict::Admit => {
+                        self.admission.remove(&qid);
+                    }
+                    AdmissionVerdict::Defer => {
+                        self.stats.admission_deferred += 1;
+                        let until = now + policy.defer_for;
+                        let tries = tries + 1;
+                        self.admission
+                            .insert(qid, AdmissionState::Deferred { until, tries });
+                        return false;
+                    }
+                    AdmissionVerdict::Shed => {
+                        self.stats.admission_shed += 1;
+                        self.admission.insert(qid, AdmissionState::Shed);
+                        return false;
+                    }
                 }
-                true
-            }
-            AdmissionVerdict::Defer => {
-                self.stats.admission_deferred += 1;
-                self.admission.insert(
-                    qid,
-                    AdmissionRecord {
-                        predicted,
-                        state: AdmissionState::Deferred {
-                            until: now + policy.defer_for,
-                            tries: tries + 1,
-                        },
-                    },
-                );
-                false
-            }
-            AdmissionVerdict::Shed => {
-                self.stats.admission_shed += 1;
-                self.admission.insert(
-                    qid,
-                    AdmissionRecord {
-                        predicted,
-                        state: AdmissionState::Shed,
-                    },
-                );
-                false
             }
         }
+        if ctx.obs_enabled() {
+            let (rationale, expected_bytes) = self.plan_rationale(expr, ctx);
+            let candidates = self.plans.get(&qid).map_or(0, |(c, _)| c.len());
+            ctx.emit(EventKind::Plan {
+                query: qid.0,
+                strategy: self.shared.config.strategy.code(),
+                candidates: candidates as u64,
+                expected_bytes,
+                rationale,
+            });
+        }
+        Self::flood_announce(ctx, qid, me, expr, deadline_at, None);
+        true
     }
 
     /// How many local queries are admitted and not yet decided — the
@@ -1194,13 +1177,7 @@ impl AthenaNode {
     fn active_admitted(&self) -> usize {
         self.queries
             .iter()
-            .filter(|(qid, q)| {
-                !q.status.is_final()
-                    && self
-                        .admission
-                        .get(qid)
-                        .is_none_or(|r| matches!(r.state, AdmissionState::Admitted))
-            })
+            .filter(|(qid, q)| !q.status.is_final() && !self.admission.contains_key(qid))
             .count()
     }
 
@@ -1293,6 +1270,47 @@ impl AthenaNode {
                 },
             );
         }
+    }
+
+    /// Whittles every interest pending on `name` by `covered`: an interest
+    /// wanting a covered label is served and stays pending only for its
+    /// uncovered labels. Returns the served neighbour requesters, in
+    /// interest order with each interest's attribution tag, and the
+    /// surviving labels to re-request — empty unless some interest was
+    /// emptied, since that one may have been the interest whose request
+    /// was in flight (answered upstream without forwarding).
+    fn whittle_interests(
+        &mut self,
+        name: &Name,
+        covered: impl Fn(&Label) -> bool,
+    ) -> (Vec<(NodeId, Option<QueryId>)>, Vec<Label>) {
+        let mut served = Vec::new();
+        let mut kept: Vec<Label> = Vec::new();
+        let mut any_emptied = false;
+        for i in self.pit.take(name) {
+            let (qid_i, mut wanted_i) = i.query;
+            if wanted_i.iter().any(&covered) {
+                if let Requester::Neighbor(nb) = i.requester {
+                    served.push((nb, qid_tag(qid_i)));
+                }
+                wanted_i.retain(|l| !covered(l));
+            }
+            if wanted_i.is_empty() {
+                any_emptied = true;
+            } else {
+                for l in &wanted_i {
+                    if !kept.contains(l) {
+                        kept.push(l.clone());
+                    }
+                }
+                self.pit
+                    .register(name, i.requester, (qid_i, wanted_i), i.expires_at);
+            }
+        }
+        if !any_emptied {
+            kept.clear();
+        }
+        (served, kept)
     }
 
     /// Serves or forwards an incoming object request.
@@ -1414,36 +1432,13 @@ impl AthenaNode {
                 }
             }
         }
-        let Some(spec) = self.catalog().by_name(&name) else {
+        let Some(idx) = self.catalog().index_of(&name) else {
             return; // unknown object: drop
         };
-        let source = spec.source;
-        let first_cover = spec.covers[0].clone();
+        let source = self.catalog().get(idx).source;
         // We are the source: sample fresh and reply.
         if source == me {
-            let idx = self
-                .catalog()
-                .providers_of(&first_cover)
-                .iter()
-                .copied()
-                .find(|&i| self.catalog().get(i).name == name)
-                .expect("own object is indexed"); // lint: allow(panic) — the catalog indexes every object it assigned to this node
-            let object = self.sample_object(idx, now);
-            self.content.insert(
-                &object.name.clone(),
-                object.clone(),
-                object.size,
-                object.sampled_at,
-                object.validity,
-            );
-            if ctx.obs_enabled() {
-                ctx.emit(EventKind::CacheStore {
-                    name: object.name.to_string(),
-                    bytes: object.size,
-                    validity_us: object.validity.as_micros(),
-                    query: qid_attr(qid),
-                });
-            }
+            let object = self.sample_and_store(ctx, idx, qid_attr(qid));
             ctx.send(
                 from,
                 AthenaMsg::Data {
@@ -1507,7 +1502,7 @@ impl AthenaNode {
     ) {
         let me = ctx.node();
         self.content.insert(
-            &object.name.clone(),
+            &object.name,
             object.clone(),
             object.size,
             object.sampled_at,
@@ -1615,46 +1610,24 @@ impl AthenaNode {
                 .filter(|n| *n != object.name)
                 .collect();
             for name in provider_names {
-                if !self.pit.has_pending(&name) {
-                    continue;
-                }
-                let interests = self.pit.take(&name);
-                let mut kept: Vec<Label> = Vec::new();
-                let mut any_emptied = false;
-                for i in interests {
-                    let (qid_i, mut wanted_i) = i.query;
-                    // The object resolves whatever subset of the interest's
-                    // labels it covers; forward it and whittle.
-                    if wanted_i.iter().any(|l| object.covers_label(l)) {
-                        if let Requester::Neighbor(nb) = i.requester {
-                            if served_label_targets.insert(nb) {
-                                self.stats.data_forwarded += 1;
-                                ctx.send(
-                                    nb,
-                                    AthenaMsg::Data {
-                                        object: object.clone(),
-                                        push_to: None,
-                                        for_query: qid_tag(qid_i),
-                                    },
-                                );
-                            }
-                        }
-                        wanted_i.retain(|l| !object.covers_label(l));
-                    }
-                    if wanted_i.is_empty() {
-                        any_emptied = true;
-                    } else {
-                        for l in &wanted_i {
-                            if !kept.contains(l) {
-                                kept.push(l.clone());
-                            }
-                        }
-                        self.pit
-                            .register(&name, i.requester, (qid_i, wanted_i), i.expires_at);
+                // The object resolves whatever subset of each interest's
+                // labels it covers; forward it, then re-request the rest.
+                let (served, reforward) = self.whittle_interests(&name, |l| object.covers_label(l));
+                for (nb, tag) in served {
+                    if served_label_targets.insert(nb) {
+                        self.stats.data_forwarded += 1;
+                        ctx.send(
+                            nb,
+                            AthenaMsg::Data {
+                                object: object.clone(),
+                                push_to: None,
+                                for_query: tag,
+                            },
+                        );
                     }
                 }
-                if any_emptied && !kept.is_empty() {
-                    self.reforward_request(ctx, &name, kept);
+                if !reforward.is_empty() {
+                    self.reforward_request(ctx, &name, reforward);
                 }
             }
         }
@@ -1693,41 +1666,15 @@ impl AthenaNode {
                 .map(|&i| self.catalog().get(i).name.clone())
                 .collect();
             for name in provider_names {
-                if !self.pit.has_pending(&name) {
-                    continue;
+                // Local interests are satisfied via apply_shared_label;
+                // neighbours get the share, in node order.
+                let (served, reforward) = self.whittle_interests(&name, |l| *l == label);
+                if !reforward.is_empty() {
+                    self.reforward_request(ctx, &name, reforward);
                 }
-                let interests = self.pit.take(&name);
                 let mut targets: BTreeMap<NodeId, Option<QueryId>> = BTreeMap::new();
-                let mut any_emptied = false;
-                let mut kept: Vec<Label> = Vec::new();
-                for i in interests {
-                    let (qid_i, mut wanted_i) = i.query;
-                    if wanted_i.contains(&label) {
-                        // Forward the share to the requester and whittle the
-                        // interest; it stays pending for its other labels.
-                        if let Requester::Neighbor(nb) = i.requester {
-                            targets.entry(nb).or_insert(qid_tag(qid_i));
-                        }
-                        // Local interests are satisfied via apply_shared_label.
-                        wanted_i.retain(|l| l != &label);
-                    }
-                    if wanted_i.is_empty() {
-                        any_emptied = true;
-                    } else {
-                        for l in &wanted_i {
-                            if !kept.contains(l) {
-                                kept.push(l.clone());
-                            }
-                        }
-                        self.pit
-                            .register(&name, i.requester, (qid_i, wanted_i), i.expires_at);
-                    }
-                }
-                // An emptied interest may have been the one whose request
-                // was in flight (answered upstream without forwarding);
-                // re-request the survivors' labels so they are not starved.
-                if any_emptied && !kept.is_empty() {
-                    self.reforward_request(ctx, &name, kept);
+                for (nb, tag) in served {
+                    targets.entry(nb).or_insert(tag);
                 }
                 for (nb, nb_query) in targets {
                     self.stats.labels_forwarded += 1;
@@ -1812,23 +1759,10 @@ impl AthenaNode {
             if self.triage_redundant(ctx, hop, &name, now) {
                 continue; // a very similar view was just pushed this way
             }
-            let object = self.sample_object(task.object_idx, now);
-            self.content.insert(
-                &object.name.clone(),
-                object.clone(),
-                object.size,
-                object.sampled_at,
-                object.validity,
-            );
+            let object = self.sample_and_store(ctx, task.object_idx, Some(task.qid.0));
             self.recent_pushes.insert(key, now);
             self.stats.prefetch_pushes += 1;
             if ctx.obs_enabled() {
-                ctx.emit(EventKind::CacheStore {
-                    name: object.name.to_string(),
-                    bytes: object.size,
-                    validity_us: object.validity.as_micros(),
-                    query: Some(task.qid.0),
-                });
                 ctx.emit(EventKind::PrefetchPush {
                     name: object.name.to_string(),
                     toward: hop.index() as u32,
@@ -1849,27 +1783,43 @@ impl AthenaNode {
 }
 
 impl AthenaNode {
-    /// Floods the decision structure of a query that has not been issued
-    /// yet, giving sources a prefetching head start (§VIII).
-    fn announce_only(&mut self, ctx: &mut Context<'_, AthenaMsg>, inst: QueryInstance) {
-        let me = ctx.node();
-        let qid = QueryId(inst.id);
-        if !self.seen_announces.insert(qid) {
-            return;
-        }
-        let deadline_at = inst.issue_at + inst.deadline;
-        let neighbors: Vec<NodeId> = ctx.topology().neighbors(me).collect();
+    /// Floods `qid`'s decision structure to every neighbour but `skip`
+    /// (`Query_Init` step iv, and its relay by `Query_Recv`).
+    fn flood_announce(
+        ctx: &mut Context<'_, AthenaMsg>,
+        qid: QueryId,
+        origin: NodeId,
+        expr: &Dnf,
+        deadline_at: SimTime,
+        skip: Option<NodeId>,
+    ) {
+        let neighbors: Vec<NodeId> = ctx
+            .topology()
+            .neighbors(ctx.node())
+            .filter(|n| Some(*n) != skip)
+            .collect();
         for nb in neighbors {
             ctx.send(
                 nb,
                 AthenaMsg::QueryAnnounce {
                     qid,
-                    origin: me,
-                    expr: inst.expr.clone(),
+                    origin,
+                    expr: expr.clone(),
                     deadline_at,
                 },
             );
         }
+    }
+
+    /// Floods the decision structure of a query that has not been issued
+    /// yet, giving sources a prefetching head start (§VIII).
+    fn announce_only(&mut self, ctx: &mut Context<'_, AthenaMsg>, inst: QueryInstance) {
+        let qid = QueryId(inst.id);
+        if !self.seen_announces.insert(qid) {
+            return;
+        }
+        let deadline_at = inst.issue_at + inst.deadline;
+        Self::flood_announce(ctx, qid, ctx.node(), &inst.expr, deadline_at, None);
     }
 }
 
@@ -1895,88 +1845,23 @@ impl Protocol for AthenaNode {
                 .config
                 .strategy
                 .candidates(&labels, self.catalog(), me, ctx.topology());
-        let state = QueryState::new(qid, inst.expr.clone(), now, inst.deadline);
+        let state = QueryState::new(qid, inst.expr, now, inst.deadline);
         let deadline_at = state.deadline_at;
-        // Admission gate (adaptive mode): predict the plan's cost and ask
-        // the policy before any announce or fetch leaves this node. Gated
-        // queries still get their state and deadline timer, so reporting
-        // counts them against resolution like any other miss.
-        let mut gate: Option<(u64, AdmissionVerdict, AdmissionPolicy)> = None;
-        if let Some(st) = self.adaptive.as_ref() {
-            if let Some(policy) = st.config.admission {
-                let predicted = self.predicted_plan_bytes(&inst.expr, me, ctx.topology());
-                let active = self.active_admitted();
-                let verdict = policy.verdict(predicted, active, &st.load, inst.deadline, 0);
-                gate = Some((predicted, verdict, policy));
-            }
-        }
-        let admitted = gate.is_none_or(|(_, v, _)| v == AdmissionVerdict::Admit);
         if ctx.obs_enabled() {
             ctx.emit(EventKind::QueryInit {
                 query: qid.0,
                 origin: me.index() as u32,
             });
-            if let Some((predicted, verdict, _)) = gate {
-                ctx.emit(EventKind::Admission {
-                    query: qid.0,
-                    verdict: verdict.name(),
-                    predicted_bytes: predicted,
-                });
-            }
-            if admitted {
-                let (rationale, expected_bytes) = self.plan_rationale(&inst.expr, ctx);
-                ctx.emit(EventKind::Plan {
-                    query: qid.0,
-                    strategy: self.shared.config.strategy.code(),
-                    candidates: candidates.len() as u64,
-                    expected_bytes,
-                    rationale,
-                });
-            }
         }
-        self.queries.insert(qid, state);
         self.plans.insert(qid, (candidates, labels));
         self.seen_announces.insert(qid);
-        match gate {
-            Some((predicted, AdmissionVerdict::Shed, _)) => {
-                self.stats.admission_shed += 1;
-                self.admission.insert(
-                    qid,
-                    AdmissionRecord {
-                        predicted,
-                        state: AdmissionState::Shed,
-                    },
-                );
-            }
-            Some((predicted, AdmissionVerdict::Defer, policy)) => {
-                self.stats.admission_deferred += 1;
-                self.admission.insert(
-                    qid,
-                    AdmissionRecord {
-                        predicted,
-                        state: AdmissionState::Deferred {
-                            until: now + policy.defer_for,
-                            tries: 1,
-                        },
-                    },
-                );
-            }
-            _ => {
-                // Flood the decision structure so the network can prefetch.
-                let neighbors: Vec<NodeId> = ctx.topology().neighbors(me).collect();
-                for nb in neighbors {
-                    ctx.send(
-                        nb,
-                        AthenaMsg::QueryAnnounce {
-                            qid,
-                            origin: me,
-                            expr: inst.expr.clone(),
-                            deadline_at,
-                        },
-                    );
-                }
-            }
-        }
+        // Admission gate (adaptive mode): the policy rules before any
+        // announce or fetch leaves this node, and before the query itself
+        // counts as active. Gated queries still get their state and
+        // deadline timer, so reporting counts them against resolution like
+        // any other miss.
+        self.admit(ctx, qid, &state.expr, deadline_at, 0);
+        self.queries.insert(qid, state);
         // Deadline timer: tag = qid + 1 (0 is the tick).
         ctx.set_timer_at(deadline_at, qid.0 + 1);
         self.advance_queries(ctx);
@@ -1995,22 +1880,7 @@ impl Protocol for AthenaNode {
                 }
                 self.stats.announces_relayed += 1;
                 let me = ctx.node();
-                let neighbors: Vec<NodeId> = ctx
-                    .topology()
-                    .neighbors(me)
-                    .filter(|n| *n != from)
-                    .collect();
-                for nb in neighbors {
-                    ctx.send(
-                        nb,
-                        AthenaMsg::QueryAnnounce {
-                            qid,
-                            origin,
-                            expr: expr.clone(),
-                            deadline_at,
-                        },
-                    );
-                }
+                Self::flood_announce(ctx, qid, origin, &expr, deadline_at, Some(from));
                 if self.shared.config.prefetch_enabled() && ctx.now() < deadline_at {
                     let labels = expr.labels();
                     let candidates = self.shared.config.strategy.candidates(
@@ -2086,7 +1956,6 @@ impl Protocol for AthenaNode {
             self.content = ContentStore::new(self.shared.config.cache_capacity);
             self.labels.clear();
         }
-        let mut reopen: Vec<(QueryId, dde_logic::dnf::Dnf, SimTime)> = Vec::new();
         for (qid, q) in self.queries.iter_mut() {
             if q.check(now).is_final() {
                 continue;
@@ -2095,29 +1964,11 @@ impl Protocol for AthenaNode {
             // Queries the admission gate is holding back were never
             // announced; they re-face the gate in the retrieval loop
             // instead of being re-announced here.
-            if self
-                .admission
-                .get(qid)
-                .is_some_and(|r| !matches!(r.state, AdmissionState::Admitted))
-            {
+            if self.admission.contains_key(qid) {
                 continue;
             }
-            reopen.push((*qid, q.expr.clone(), q.deadline_at));
-        }
-        let neighbors: Vec<NodeId> = ctx.topology().neighbors(me).collect();
-        for (qid, expr, deadline_at) in reopen {
-            for nb in &neighbors {
-                ctx.send(
-                    *nb,
-                    AthenaMsg::QueryAnnounce {
-                        qid,
-                        origin: me,
-                        expr: expr.clone(),
-                        deadline_at,
-                    },
-                );
-            }
-            ctx.set_timer_at(deadline_at, qid.0 + 1);
+            Self::flood_announce(ctx, *qid, me, &q.expr, q.deadline_at, None);
+            ctx.set_timer_at(q.deadline_at, qid.0 + 1);
         }
         self.advance_queries(ctx);
     }
@@ -2150,6 +2001,8 @@ mod tests {
     use dde_logic::dnf::{Dnf, Term};
     use dde_netsim::shard::ShardedSimulator;
     use dde_netsim::topology::{LinkSpec, Topology};
+    use dde_obs::{MemorySink, SharedSink};
+    use dde_sched::adaptive::AdmissionPolicy;
     use dde_workload::catalog::ObjectSpec;
     use dde_workload::scenario::QueryInstance;
     use dde_workload::world::DynamicsClass;
@@ -2363,6 +2216,91 @@ mod tests {
         let q = sim.node(NodeId(0)).queries().next().unwrap();
         assert_eq!(q.status, crate::query::QueryStatus::Missed);
         assert_eq!(sim.metrics().kind("data").count, 0);
+    }
+
+    /// An admission gate that rules against any query issued while another
+    /// local query is active (zero budget, zero overload threshold) and
+    /// admits when none is; `max_defers == 0` sheds instead of deferring.
+    fn gated(max_defers: u32) -> NodeConfig {
+        let mut config = NodeConfig::new(Strategy::Lvf);
+        config.adaptive = Some(AdaptiveConfig {
+            admission: Some(AdmissionPolicy {
+                budget_bytes: 0,
+                overload_bytes: 0,
+                min_active: 1,
+                defer_for: SimDuration::from_secs(5),
+                max_defers,
+            }),
+            ..AdaptiveConfig::default()
+        });
+        config
+    }
+
+    /// Runs queries 0 (`x`) and 1 (`y`), both issued at leaf 0 at time
+    /// zero, under `config`; returns the simulator and node 0's records
+    /// that concern query 1.
+    fn run_gated(config: NodeConfig) -> (ShardedSimulator<AthenaNode>, Vec<EventKind>) {
+        let (mut sim, _) = harness(config);
+        let sink = SharedSink::new(MemorySink::new());
+        sim.set_sink(Box::new(sink.clone()));
+        sim.schedule_external(SimTime::ZERO, NodeId(0), query(0, 0, &["x"]).into());
+        sim.schedule_external(SimTime::ZERO, NodeId(0), query(1, 0, &["y"]).into());
+        sim.run();
+        let events = sink.with(|m| {
+            m.events()
+                .iter()
+                .filter(|r| r.node == 0)
+                .map(|r| r.kind.clone())
+                .filter(|k| match k {
+                    EventKind::Admission { query, .. } | EventKind::Plan { query, .. } => {
+                        *query == 1
+                    }
+                    EventKind::Transmit { msg, query, .. } => {
+                        *msg == "announce" && *query == Some(1)
+                    }
+                    _ => false,
+                })
+                .collect()
+        });
+        (sim, events)
+    }
+
+    fn tag(kind: &EventKind) -> &'static str {
+        match kind {
+            EventKind::Admission { verdict, .. } => verdict,
+            other => other.kind_name(),
+        }
+    }
+
+    #[test]
+    fn deferred_query_announces_once_when_admitted() {
+        let (sim, events) = run_gated(gated(3));
+        let tags: Vec<&str> = events.iter().map(tag).collect();
+        // Deferred at issue (query 0 is active), admitted once query 0 has
+        // decided: `admission` precedes `plan`, and the single announce
+        // (leaf 0 has one neighbour) leaves only after the admit.
+        let admit = tags.iter().position(|t| *t == "admit").expect("admitted");
+        assert_eq!(tags[0], "defer", "{tags:?}");
+        assert!(tags[..admit].iter().all(|t| *t == "defer"), "{tags:?}");
+        assert_eq!(tags[admit + 1..], ["plan", "transmit"], "{tags:?}");
+        let node = sim.node(NodeId(0));
+        assert_eq!(node.stats.admission_deferred, admit as u64);
+        assert!(node.admission.is_empty(), "admitted queries leave the map");
+        assert!(node
+            .queries()
+            .all(|q| q.status.is_final() && q.status != crate::query::QueryStatus::Missed));
+    }
+
+    #[test]
+    fn shed_query_never_announces() {
+        let (sim, events) = run_gated(gated(0));
+        let tags: Vec<&str> = events.iter().map(tag).collect();
+        assert_eq!(tags, ["shed"]);
+        let node = sim.node(NodeId(0));
+        assert_eq!(node.stats.admission_shed, 1);
+        let q1 = node.queries().find(|q| q.id == QueryId(1)).unwrap();
+        assert_eq!(q1.status, crate::query::QueryStatus::Missed);
+        assert_eq!(q1.counters.requests_sent, 0);
     }
 
     #[test]

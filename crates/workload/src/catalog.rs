@@ -72,7 +72,12 @@ impl Catalog {
 
     /// The object with the given name.
     pub fn by_name(&self, name: &Name) -> Option<&ObjectSpec> {
-        self.by_name.get(name).map(|&i| &self.objects[i])
+        self.index_of(name).map(|i| &self.objects[i])
+    }
+
+    /// The index of the object with the given name.
+    pub fn index_of(&self, name: &Name) -> Option<usize> {
+        self.by_name.get(name).copied()
     }
 
     /// Indices of objects whose evidence can resolve `label`.
@@ -132,6 +137,9 @@ mod tests {
         assert!(c.providers_of(&Label::new("ghost")).is_empty());
         assert_eq!(c.by_name(&"/cam/1".parse().unwrap()).unwrap().size, 200);
         assert!(c.by_name(&"/cam/9".parse().unwrap()).is_none());
+        assert_eq!(c.index_of(&"/cam/1".parse().unwrap()), Some(i1));
+        assert_eq!(c.index_of(&"/cam/0".parse().unwrap()), Some(i0));
+        assert_eq!(c.index_of(&"/cam/9".parse().unwrap()), None);
     }
 
     #[test]
