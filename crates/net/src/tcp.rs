@@ -470,18 +470,35 @@ fn reader_loop(mut stream: TcpStream, ctx: ReaderCtx) {
         }
         // Control frames are not legal on peer connections: frame::decode
         // rejects them, which closes this connection like any other
-        // malformed input.
+        // malformed input. So does a message naming a node outside the
+        // cluster.
         match frame::decode(&buf) {
-            Ok(msg) => {
+            Ok(msg) if node_ids_in_range(&msg, ctx.nodes) => {
                 ctx.stats.frames_in.inc();
                 ctx.stats.bytes_in.add(buf.len() as u64);
                 lock(&ctx.inbound).dispatch(from, msg);
             }
-            Err(_) => {
+            Ok(_) | Err(_) => {
                 ctx.stats.decode_errors.inc();
                 return;
             }
         }
+    }
+}
+
+/// Whether every node id `msg` carries names one of the cluster's `nodes`.
+/// Handlers route on these ids (`next_hop_toward` indexes the routing
+/// table with them), so an id outside the cluster must never reach one.
+fn node_ids_in_range(msg: &AthenaMsg, nodes: usize) -> bool {
+    let known = |n: NodeId| n.0 < nodes;
+    match msg {
+        AthenaMsg::QueryAnnounce { origin, .. } | AthenaMsg::Request { origin, .. } => {
+            known(*origin)
+        }
+        AthenaMsg::Data {
+            object, push_to, ..
+        } => known(object.source) && push_to.is_none_or(known),
+        AthenaMsg::LabelShare { annotator, .. } => known(*annotator),
     }
 }
 
@@ -546,4 +563,112 @@ fn read_exact_polled(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) 
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::host::NodeHost;
+    use dde_core::{
+        AthenaNode, EvidenceObject, GroundTruthAnnotator, NodeConfig, QueryId, SharedWorld,
+        Strategy,
+    };
+    use dde_logic::dnf::{Dnf, Term};
+    use dde_logic::time::SimDuration;
+    use dde_netsim::topology::{LinkSpec, Topology};
+    use dde_obs::NullSink;
+    use dde_workload::catalog::Catalog;
+    use dde_workload::world::WorldModel;
+
+    /// A frame naming a node outside the cluster is a decode error: the
+    /// reader closes the connection and the host never sees the message
+    /// (its handlers would index the routing table with the id).
+    #[test]
+    fn out_of_range_node_ids_are_decode_errors() {
+        let mut topology = Topology::new(2);
+        topology.add_link(NodeId(0), NodeId(1), LinkSpec::mbps1());
+        topology.rebuild_routes();
+        let shared = Arc::new(SharedWorld {
+            catalog: Catalog::new(),
+            world: WorldModel::new(1),
+            config: NodeConfig::new(Strategy::Lvf),
+        });
+        let node = AthenaNode::new(shared, Arc::new(GroundTruthAnnotator));
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Node 1's address is never dialled: node 0 sends nothing.
+        let book = Arc::new(vec![addr, addr]);
+        let registry = Arc::new(MetricsRegistry::new());
+        let host_registry = Arc::clone(&registry);
+        let run = std::thread::spawn(move || {
+            let health = Arc::new(HealthState::new(Arc::clone(&host_registry)));
+            let clock = Arc::new(VirtualClock::start(16));
+            let transport = TcpTransport::new(
+                NodeId(0),
+                listener,
+                book,
+                vec![NodeId(1)],
+                Arc::clone(&clock),
+                &host_registry,
+                Arc::clone(&health),
+            )?;
+            NodeHost::new(
+                NodeId(0),
+                node,
+                topology,
+                Box::new(transport),
+                Vec::new(),
+                SimTime::from_secs(32), // 2 s of wall time at scale 16
+                Box::new(NullSink),
+                clock,
+            )
+            .with_telemetry(host_registry, health)
+            .run()
+        });
+
+        let outside = NodeId(u32::MAX as usize);
+        let hostile = [
+            AthenaMsg::Data {
+                object: EvidenceObject {
+                    name: "/city/cam/x".parse().unwrap(),
+                    covers: Vec::new(),
+                    size: 1,
+                    source: NodeId(1),
+                    sampled_at: SimTime::ZERO,
+                    validity: SimDuration::from_secs(1),
+                },
+                push_to: Some(outside),
+                for_query: None,
+            },
+            AthenaMsg::QueryAnnounce {
+                qid: QueryId(0),
+                origin: outside,
+                expr: Dnf::from_terms(vec![Term::all_of(["x"])]),
+                deadline_at: SimTime::from_secs(30),
+            },
+        ];
+        let decode_errors = registry.counter("tcp.decode_errors");
+        for (sent, msg) in hostile.iter().enumerate() {
+            let mut peer = TcpStream::connect(addr).unwrap();
+            let mut hello = [0u8; HELLO_LEN];
+            hello[0..2].copy_from_slice(&HELLO_MAGIC);
+            hello[2] = HELLO_VERSION;
+            hello[3] = HELLO_ROLE_PEER;
+            hello[4..8].copy_from_slice(&1u32.to_be_bytes());
+            peer.write_all(&hello).unwrap();
+            peer.write_all(&frame::encode(msg).unwrap()).unwrap();
+            // The reader counts the error, then closes the connection: the
+            // peer reads EOF.
+            peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(peer.read(&mut [0u8; 1]).unwrap(), 0, "{msg:?}");
+            assert_eq!(decode_errors.get(), sent as u64 + 1, "{msg:?}");
+        }
+        let outcome = run
+            .join()
+            .expect("host must not panic")
+            .expect("host run succeeds");
+        assert_eq!(decode_errors.get(), 2);
+        assert_eq!(registry.counter("tcp.frames_in").get(), 0);
+        assert!(outcome.dispatches >= 1);
+    }
 }
