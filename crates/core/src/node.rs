@@ -130,7 +130,8 @@ pub struct NodeConfig {
     pub crash_wipes_cache: bool,
     /// Online adaptive planning: when set, the node re-parameterizes its
     /// §III-A planners from per-node estimators learned off the trace-visible
-    /// event stream, and (if the config carries an [`AdmissionPolicy`])
+    /// event stream, and (if the config carries an
+    /// [`AdmissionPolicy`](dde_sched::adaptive::AdmissionPolicy))
     /// gates query admission under overload. `None` — the default —
     /// reproduces the static planners byte-for-byte.
     pub adaptive: Option<AdaptiveConfig>,
@@ -1105,14 +1106,13 @@ impl AthenaNode {
     }
 
     /// The admission gate, at issue (`tries == 0`) and when a deferral
-    /// ripens. In adaptive mode with an [`AdmissionPolicy`] it predicts
+    /// ripens. In adaptive mode with an
+    /// [`AdmissionPolicy`](dde_sched::adaptive::AdmissionPolicy) it predicts
     /// the plan's cost, asks the policy, emits `admission`, and records a
     /// defer or shed; `qid` must not count as active (at issue it is not
     /// in the query table yet, on re-gate it is deferred). An admitted
     /// query — every query without a policy — emits its `plan` and floods
     /// its announce. Returns whether the query was admitted.
-    ///
-    /// [`AdmissionPolicy`]: dde_sched::adaptive::AdmissionPolicy
     fn admit(
         &mut self,
         ctx: &mut Context<'_, AthenaMsg>,
